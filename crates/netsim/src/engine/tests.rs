@@ -1023,10 +1023,10 @@ fn checkpoint_restore_preserves_counters_and_clock() {
 
 #[test]
 fn engine_checkpoint_serialization_is_stable() {
-    // Regression guard for the version-4 region-keyed checkpoint: same
-    // top-level field order on every run, `util_series` as link-sorted
-    // `(LinkId, bins)` pairs covering every tracked link, and the
-    // version tag leading the record.
+    // Regression guard for the region-keyed checkpoint at the current
+    // format version: same top-level field order on every run,
+    // `util_series` as link-sorted `(LinkId, bins)` pairs covering every
+    // tracked link, and the version tag leading the record.
     let topo = two_cluster_topo();
     let mut sim =
         Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap).expect("valid config");
@@ -1090,6 +1090,7 @@ fn engine_checkpoint_serialization_is_stable() {
         "record_latencies",
         "latencies",
         "processed_events",
+        "fast",
     ];
     let mut cursor = 0usize;
     for key in expected_keys {
@@ -1099,7 +1100,8 @@ fn engine_checkpoint_serialization_is_stable() {
             .unwrap_or_else(|| panic!("field {key} missing or out of order"));
         cursor += at + needle.len();
     }
-    assert!(json.starts_with("{\"version\":4,"), "version must lead");
+    let lead = format!("{{\"version\":{CHECKPOINT_VERSION},");
+    assert!(json.starts_with(&lead), "version must lead");
 
     // util_series value shape: exactly the tracked links, ascending.
     let listed: Vec<LinkId> = ckpt.util_series.iter().map(|(l, _)| *l).collect();
@@ -1281,7 +1283,11 @@ fn restore_rejects_foreign_version() {
     let mut sim = busy_sim(&topo);
     sim.run_until(SimTime::from_micros(500));
     let json = serde_json::to_string(&sim.checkpoint()).expect("serialize");
-    let forged = json.replacen("{\"version\":4,", "{\"version\":3,", 1);
+    let forged = json.replacen(
+        &format!("{{\"version\":{CHECKPOINT_VERSION},"),
+        &format!("{{\"version\":{},", CHECKPOINT_VERSION - 1),
+        1,
+    );
     assert_ne!(json, forged, "the version tag must be present to forge");
     let ckpt: EngineCheckpoint = serde_json::from_str(&forged).expect("parse");
     match Simulator::restore(Arc::clone(&topo), NullTap, ckpt) {
