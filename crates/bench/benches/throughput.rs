@@ -79,7 +79,7 @@ struct PartWidth {
     barriers: u64,
     /// Partition calendars stolen off another worker's deque.
     steals: u64,
-    /// Partition count under the granularity this run resolved.
+    /// Partition count: one per datacenter.
     partitions: usize,
     /// Measured worker utilization: wall time the pool's workers spent
     /// draining calendars divided by (width × the pool's elapsed wall
@@ -97,9 +97,10 @@ impl PartWidth {
 }
 
 /// A four-datacenter plant: the partitioned engine runs one event
-/// calendar per cluster (plus per-DC hub and backbone calendars),
-/// synchronized at barriers whose horizon is the minimum cross-partition
-/// bound over pairs with pending cross traffic.
+/// calendar per datacenter (the backbone rides with the first),
+/// synchronized at barriers one global lookahead apart — the 1 ms
+/// propagation of the DR ↔ backbone links, the only links that straddle
+/// two partitions.
 fn four_dc_topo(fast: bool) -> Arc<Topology> {
     let (fr, fh, cr, ch) = if fast { (4, 3, 2, 3) } else { (6, 8, 4, 8) };
     let dc = || SiteSpec {
@@ -117,10 +118,10 @@ fn four_dc_topo(fast: bool) -> Arc<Topology> {
 /// Seeds the paper's frontend locality mix (Table 3): every web server
 /// keeps a steady request train to a cache follower in its *own*
 /// cluster, and one in four adds a sparse miss train to a cache leader
-/// in a *different* datacenter. The intra-cluster bulk never straddles a
-/// partition at cluster granularity, so those calendars run in wide
-/// windows; the thin cross-DC tail is what the per-pair lookahead has to
-/// fence. Returns the horizon the caller should run to.
+/// in a *different* datacenter. The intra-cluster bulk never leaves its
+/// datacenter's partition; only the thin cross-DC tail crosses a
+/// partition boundary, one lookahead after it leaves the DR. Returns the
+/// horizon the caller should run to.
 fn seed_locality_mix(sim: &mut Simulator<NullTap>, topo: &Arc<Topology>, fast: bool) -> SimTime {
     let webs = topo.hosts_with_role(HostRole::Web);
     let leaders = topo.hosts_with_role(HostRole::CacheLeader);

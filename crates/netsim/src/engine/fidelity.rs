@@ -8,14 +8,14 @@
 //! queueing-delay term for FCT), while *fidelity islands* — flows that
 //! touch a mirrored host's access link, a utilization-tracked link, a
 //! buffer-sampled switch, a link or switch named by the fault plan, or a
-//! heavy-hitter-sized transfer — continue through the per-cluster
-//! partitioned packet DES unchanged. DESIGN.md §13 gives the model, the
-//! demotion rules, and the shape-equivalence contract.
+//! heavy-hitter-sized transfer — continue through the partitioned packet
+//! DES unchanged. DESIGN.md §13 gives the model, the demotion rules, and
+//! the shape-equivalence contract.
 //!
 //! Everything here runs on the coordinator thread between lookahead
-//! windows, so flow-mode outputs are byte-identical at every worker
-//! width and partition granularity by construction — the same property
-//! the packet engine proves at its barriers.
+//! windows, so flow-mode outputs are byte-identical at every worker width
+//! by construction — the same property the packet engine proves at its
+//! barriers.
 
 use crate::faults::{FaultEvent, FaultKind};
 use crate::packet::ConnId;

@@ -7,26 +7,23 @@
 //!
 //! # Execution model
 //!
-//! The plant is statically partitioned into topology-fixed *regions* —
-//! one per cluster, one per datacenter hub tier, one for the backbone —
-//! grouped per-cluster by default or per-datacenter under
-//! `SONET_PARTITION=dc` ([`part`] module); each partition owns a slice
-//! of the link/switch/connection state and a private event calendar.
-//! The coordinator advances all partitions in lockstep *windows* of
-//! conservative lookahead: each partition classifies every enqueued
-//! event with a lower bound on when handling it could first reach
-//! another partition, and the window end is the minimum such bound
-//! (capped at 1 ms). Intra-cluster work — the bulk of the paper's
-//! traffic — never produces a bound, so cluster-partitioned windows
-//! stay long. Boundary packets, tap deliveries, latency samples and
-//! buffer windows are exchanged at each barrier in canonical
-//! `(time, source-region, sequence)` order. Partitions run on the
-//! [`sonet_util::par`] work-stealing pool; because the region keys, the
-//! windows and every merge order are fixed by the topology and the
-//! event keys (never by thread scheduling or the region grouping),
-//! outputs are **byte-identical at any `--threads` value and either
-//! granularity**, including 1. DESIGN.md §10 gives the protocol and the
-//! determinism argument.
+//! The plant is statically divided into topology-fixed *regions* — one
+//! per cluster, one per datacenter hub tier, one for the backbone — and
+//! the regions of each datacenter form one partition (the `part` module).
+//! Each partition owns a slice of the link/switch/connection state and a
+//! private event calendar. Cluster-local and cluster-crossing traffic —
+//! the bulk of the paper's traffic — stays inside one datacenter, so only
+//! DR ↔ backbone hops cross a partition boundary. The coordinator
+//! advances all partitions in lockstep *windows* of one global
+//! conservative lookahead: the smallest propagation delay over
+//! partition-straddling links, capped at 1 ms. Boundary packets, tap
+//! deliveries, latency samples and buffer windows are exchanged at each
+//! barrier in canonical `(time, source-region, sequence)` order.
+//! Partitions run on the [`sonet_util::par`] work-stealing pool; because
+//! the region keys, the windows and every merge order are fixed by the
+//! topology and the event keys (never by thread scheduling), outputs are
+//! **byte-identical at any `--threads` value**, including 1. DESIGN.md
+//! §10 gives the protocol and the determinism argument.
 
 mod fidelity;
 mod part;
@@ -40,7 +37,6 @@ use crate::packet::{ConnId, Dir, FlowKey};
 use crate::tap::PacketTap;
 use fidelity::{FastKind, FastPath};
 pub use fidelity::{FidelityConfig, FidelityMode};
-pub use part::{set_granularity_override, Granularity};
 use part::{Ev, EvKey, PartSampler, Partition, PartitionMap, Scheduled, SharedCtx, EXT_SRC};
 use serde::{Deserialize, Serialize};
 use sonet_topology::{HostId, LinkHealth, LinkId, Node, SwitchId, Topology};
@@ -58,16 +54,17 @@ use std::sync::Arc;
 /// checkpoint requires the release that wrote it).
 const CHECKPOINT_VERSION: u32 = 5;
 
-/// Hard cap on window length: with no pending cross-bound traffic the
-/// engine still barriers this often, bounding how stale the
-/// coordinator's view can get (and how far a quiescing plant coasts).
+/// Hard cap on window length: a plant with no partition-straddling link
+/// (a single datacenter) still barriers this often, bounding how stale
+/// the coordinator's view can get (and how far a quiescing plant coasts).
 const WINDOW_CAP: SimDuration = SimDuration::from_nanos(1_000_000);
 
 /// Delay after which a cross-region abort notification reaches the peer
 /// (a RST surfacing after the fabric round-trip). **Must be ≥
 /// [`WINDOW_CAP`]**: an abort at `t` is buffered by a window that ends
-/// no later than `t + WINDOW_CAP`, so the injected `PeerGone` at
-/// `t + ABORT_NOTIFY_DELAY` can never land in the peer's past.
+/// no later than `t + lookahead <= t + WINDOW_CAP`, so the injected
+/// `PeerGone` at `t + ABORT_NOTIFY_DELAY` can never land in the peer's
+/// past.
 const ABORT_NOTIFY_DELAY: SimDuration = WINDOW_CAP;
 
 /// Errors surfaced by the simulator API.
@@ -443,9 +440,8 @@ impl<T: PacketTap> Simulator<T> {
         &self.parts[0].health
     }
 
-    /// Number of plant partitions — one per cluster/hub-tier/backbone
-    /// region at the default `cluster` granularity, one per datacenter
-    /// under `SONET_PARTITION=dc`.
+    /// Number of plant partitions: one per datacenter (the backbone
+    /// rides with partition 0).
     pub fn partitions(&self) -> usize {
         self.parts.len()
     }
@@ -574,7 +570,7 @@ impl<T: PacketTap> Simulator<T> {
         let seq = self.coord.ext_seq;
         self.coord.ext_seq += 1;
         for p in &mut self.parts {
-            p.push_ext(&self.shared, at, seq, Ev::Fault { kind });
+            p.push_ext(at, seq, Ev::Fault { kind });
         }
         Ok(())
     }
@@ -866,7 +862,7 @@ impl<T: PacketTap> Simulator<T> {
         if !fast {
             let seq = self.coord.ext_seq;
             self.coord.ext_seq += 1;
-            self.parts[cpart as usize].push_ext(&self.shared, at, seq, Ev::OpenConn { conn: id });
+            self.parts[cpart as usize].push_ext(at, seq, Ev::OpenConn { conn: id });
         }
         Ok(id)
     }
@@ -912,7 +908,6 @@ impl<T: PacketTap> Simulator<T> {
         let seq = self.coord.ext_seq;
         self.coord.ext_seq += 1;
         self.parts[cpart].push_ext(
-            &self.shared,
             at,
             seq,
             Ev::SendMsg {
@@ -950,7 +945,6 @@ impl<T: PacketTap> Simulator<T> {
             let seq = self.coord.ext_seq;
             self.coord.ext_seq += 1;
             self.parts[cpart].push_ext(
-                &self.shared,
                 at,
                 seq,
                 Ev::SendMsg {
@@ -1006,7 +1000,6 @@ impl<T: PacketTap> Simulator<T> {
             let seq = self.coord.ext_seq;
             self.coord.ext_seq += 1;
             self.parts[cpart].push_ext(
-                &self.shared,
                 at,
                 seq,
                 Ev::SendMsg {
@@ -1180,7 +1173,7 @@ impl<T: PacketTap> Simulator<T> {
         }
         let seq = self.coord.ext_seq;
         self.coord.ext_seq += 1;
-        self.parts[cpart].push_ext(&self.shared, at, seq, Ev::OpenConn { conn });
+        self.parts[cpart].push_ext(at, seq, Ev::OpenConn { conn });
     }
 
     /// Closes `conn` at absolute time `at` (FIN emission).
@@ -1207,7 +1200,7 @@ impl<T: PacketTap> Simulator<T> {
         }
         let seq = self.coord.ext_seq;
         self.coord.ext_seq += 1;
-        self.parts[cpart].push_ext(&self.shared, at, seq, Ev::Close { conn });
+        self.parts[cpart].push_ext(at, seq, Ev::Close { conn });
         Ok(())
     }
 
@@ -1224,7 +1217,7 @@ impl<T: PacketTap> Simulator<T> {
     /// `(at, seq)` order. Runs on the coordinator between windows — the
     /// packet clock has already reached `t` — so completions, latency
     /// samples and retirements land in global time order and are
-    /// byte-identical at any worker width or partition granularity.
+    /// byte-identical at any worker width.
     fn apply_fast_due(&mut self, t: SimTime) {
         // One event at a time: handling a `Send` or `RespStart` schedules
         // follow-up events that may themselves already be due, and they
@@ -1312,7 +1305,7 @@ impl<T: PacketTap> Simulator<T> {
                         let cpart = self.coord.slots[conn.index()].cpart as usize;
                         let seq = self.coord.ext_seq;
                         self.coord.ext_seq += 1;
-                        self.parts[cpart].push_ext(&self.shared, ev.at, seq, Ev::Close { conn });
+                        self.parts[cpart].push_ext(ev.at, seq, Ev::Close { conn });
                     }
                 }
                 FastKind::Retire { idx } => {
@@ -1343,7 +1336,7 @@ impl<T: PacketTap> Simulator<T> {
         // points: advance the packet engine to the next fast event's
         // instant, apply every fast event due there, repeat. The fast
         // path is coordinator-serial, so hybrid runs stay byte-identical
-        // at any worker width and partition granularity.
+        // at any worker width.
         while let Some(tf) = self.coord.fast.peek_at() {
             if tf > until {
                 break;
@@ -1440,7 +1433,7 @@ impl<T: PacketTap> Simulator<T> {
                         start,
                     );
                 }
-                pend[1] += barrier_merge(coord, shared, parts);
+                pend[1] += barrier_merge(coord, parts);
                 for p in parts.iter_mut() {
                     coord.pstats.events += p.window_counted;
                     p.window_counted = 0;
@@ -1506,24 +1499,9 @@ impl<T: PacketTap> Simulator<T> {
                     .iter()
                     .filter_map(|p| p.events.peek().map(|r| r.0.at))
                     .min();
-                // Window horizon: the cap, tightened by the earliest
-                // instant any partition's pending work could cross into
-                // another partition (stale bounds — classified for events
-                // already processed — are popped on the way).
-                let horizon = next.map(|t| {
-                    let mut horizon = t + WINDOW_CAP;
-                    for p in parts.iter_mut() {
-                        while let Some(&Reverse((bound, at))) = p.cross_bounds.peek() {
-                            if at < p.now {
-                                p.cross_bounds.pop();
-                            } else {
-                                horizon = horizon.min(bound);
-                                break;
-                            }
-                        }
-                    }
-                    horizon
-                });
+                // Window horizon: no event handled at or after `next`
+                // can reach another partition before `next + lookahead`.
+                let horizon = next.map(|t| t + shared.pmap.lookahead);
                 let wend = match mode {
                     StopMode::Until(until) => match (next, horizon) {
                         (Some(t), Some(h)) if t <= until => {
@@ -1658,9 +1636,11 @@ impl<T: PacketTap> Simulator<T> {
 /// drops by cause. Called from the coordinator between phases, only when
 /// observability is on; purely write-only into the obs side channel.
 ///
-/// Per-cluster granularity runs one to two orders of magnitude more
-/// windows than the old per-DC engine, so per-window registry traffic is
-/// now a measurable tax (CI pins `--obs summary` to ≤2% of events/sec).
+/// Hybrid runs cut a window at every fast-path event instant (the two
+/// calendars interleave there), so they still cross tens of thousands of
+/// barriers per simulated half-second — about 35k on the standard
+/// capture — and per-window registry traffic is a measurable tax (CI
+/// pins `--obs summary` to ≤2% of events/sec).
 /// Counters therefore accumulate into `pending` (one slot per partition)
 /// and flush every `OBS_FLUSH_WINDOWS` barriers — exact totals, just
 /// batched — gauges refresh on the same cadence (they are last-write
@@ -1781,25 +1761,19 @@ fn flush_window_metrics(
 /// no-op on a fresh simulator, so the window loop calls it
 /// unconditionally. Returns the number of boundary events delivered so
 /// the caller can batch the `engine.boundary_events` counter.
-fn barrier_merge<T: PacketTap>(
-    coord: &mut Coord<T>,
-    sh: &SharedCtx,
-    parts: &mut [Partition],
-) -> u64 {
+fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, parts: &mut [Partition]) -> u64 {
     let n = parts.len();
 
     // 1. Boundary events: outbox → target calendar, coalesced per target
-    //    across every source so each target's bookkeeping (calendar
-    //    growth, cross-bound classification) runs once per barrier
-    //    instead of once per partition pair. Every entry carries its
-    //    (time, source, seq) key, so heap order — not delivery order —
-    //    decides processing order.
+    //    across every source so each target's calendar grows once per
+    //    barrier instead of once per partition pair. Every entry carries
+    //    its (time, source, seq) key, so heap order — not delivery order
+    //    — decides processing order.
     let mut boundary: u64 = 0;
     let mut incoming: Vec<Vec<Scheduled>> = vec![Vec::new(); n];
     for src in parts.iter_mut() {
-        // Per-source outbox histograms are deep-mode detail: at cluster
-        // granularity they would cost `partitions` registry ops on every
-        // one of the (much more numerous) windows in summary mode.
+        // Per-source outbox histograms are deep-mode detail: they would
+        // cost `partitions` registry ops on every window in summary mode.
         if sonet_util::obs::deep() {
             let depth: usize = src.outbox.iter().map(Vec::len).sum();
             sonet_util::obs::hist_observe!(
@@ -1821,7 +1795,6 @@ fn barrier_merge<T: PacketTap>(
         p.real_events += evs.len() as u64;
         for s in evs {
             debug_assert!(s.at >= p.now, "lookahead violation");
-            p.note_cross(sh, s.at, &s.ev);
             p.events.push(Reverse(s));
         }
     }
@@ -1873,7 +1846,7 @@ fn barrier_merge<T: PacketTap>(
     //    round-trip. Tying the notification to the abort's own timestamp
     //    (not the barrier position) keeps results independent of how the
     //    caller slices its `run_until` horizon: no window ever extends
-    //    past its start by more than `WINDOW_CAP <= ABORT_NOTIFY_DELAY`,
+    //    past its start by more than `lookahead <= ABORT_NOTIFY_DELAY`,
     //    so the notification is never in the peer's past.
     let multi = parts.iter().filter(|p| !p.aborted_buf.is_empty()).count() > 1;
     let mut aborts: Vec<(EvKey, ConnId, bool)> = Vec::new();
@@ -1901,7 +1874,6 @@ fn barrier_merge<T: PacketTap>(
         let seq = coord.ext_seq;
         coord.ext_seq += 1;
         parts[peer].push_ext(
-            sh,
             at,
             seq,
             Ev::PeerGone {
@@ -1956,9 +1928,8 @@ struct BufSamplerCkpt {
 /// cannot disagree with the plant it is replayed against. Because the
 /// view is canonical — events keyed by topology-fixed regions, fault
 /// replicas deduplicated, sequence counters region-indexed — checkpoint
-/// bytes are identical at every worker width *and* every partition
-/// granularity, and a checkpoint taken under one configuration restores
-/// under any other.
+/// bytes are identical at every worker width, and a checkpoint taken at
+/// one width restores at any other.
 ///
 /// Checkpoints from older format versions fail to restore — resuming
 /// one requires the release that wrote it.
@@ -2173,8 +2144,8 @@ impl<T: PacketTap> Simulator<T> {
     /// outputs, at any worker width. The tap is supplied by the caller
     /// (its state, if any, is checkpointed by the layer that owns it).
     /// Fails with [`SimError::Config`] when the checkpoint's version or
-    /// dimensions do not match or its calendar is internally
-    /// inconsistent.
+    /// dimensions do not match, its calendar is internally inconsistent,
+    /// or it names a host or link the topology does not have.
     pub fn restore(
         topo: Arc<Topology>,
         tap: T,
@@ -2244,6 +2215,17 @@ impl<T: PacketTap> Simulator<T> {
             return bad("fast-path route references an out-of-range link");
         }
 
+        let hosts_in_range = |k: &FlowKey| k.client.index() < n_hosts && k.server.index() < n_hosts;
+        if ckpt
+            .conns_client
+            .iter()
+            .chain(&ckpt.conns_server)
+            .flatten()
+            .any(|c| !hosts_in_range(&c.key))
+        {
+            return bad("connection endpoint references an out-of-range host");
+        }
+
         // Rebuild the slot registry from the client endpoints (the client
         // half exists for every allocated slot and persists after
         // retirement, so generation and both partitions are derivable).
@@ -2284,6 +2266,15 @@ impl<T: PacketTap> Simulator<T> {
             if ev.seq >= issued {
                 return bad("calendar entry with an unissued sequence number");
             }
+            if let Ev::Transmit { pkt, .. } | Ev::Deliver { pkt } = &ev.ev {
+                let hops = pkt.route.checked().unwrap_or_default();
+                if hops.is_empty() || hops.iter().any(|l| l.index() >= n_links) {
+                    return bad("packet route is malformed or references an out-of-range link");
+                }
+                if !hosts_in_range(&pkt.p.key) {
+                    return bad("packet references an out-of-range host");
+                }
+            }
         }
 
         sim.coord.now = ckpt.now;
@@ -2307,9 +2298,7 @@ impl<T: PacketTap> Simulator<T> {
             p.clients.resize(n_slots, None);
             p.servers.resize(n_slots, None);
         }
-        // Each region's counter lands on the partition that owns the
-        // region under the *current* granularity — which may differ from
-        // the granularity that took the checkpoint.
+        // Each region's counter lands on the partition that owns it.
         for (r, &seq) in ckpt.next_seqs.iter().enumerate() {
             let owner = sh.pmap.part_of_region[r] as usize;
             sim.parts[owner].next_seqs[r] = seq;
@@ -2383,9 +2372,6 @@ impl<T: PacketTap> Simulator<T> {
 
         // Route every calendar entry to the partition that owns its
         // subject, then recount the housekeeping split per partition.
-        // Each push re-classifies the event against its new owner's
-        // cross-bound heap, so the first window after a resume is sized
-        // by the same rule as any other.
         for ev in ckpt.events {
             let target = match &ev.ev {
                 Ev::Transmit { pkt, hop } => {
@@ -2459,7 +2445,6 @@ impl<T: PacketTap> Simulator<T> {
             if !matches!(ev.ev, Ev::BufSample { .. }) {
                 p.real_events += 1;
             }
-            p.note_cross(sh, ev.at, &ev.ev);
             p.events.push(Reverse(ev));
         }
 

@@ -3,11 +3,9 @@
 //!
 //! The plant decomposes into topology-fixed **regions**: one per
 //! cluster, one per datacenter's FC/DR hub tier, and one for the
-//! backbone switch. Regions group into runtime **partitions** at the
-//! granularity selected by [`Granularity`] — per-cluster by default
-//! (every region its own partition, dozens of them), or per-datacenter
-//! (`SONET_PARTITION=dc`: a DC's clusters and hub fold together, the
-//! backbone rides with partition 0). Every piece of mutable simulation
+//! backbone switch. Regions group into one runtime **partition** per
+//! datacenter: a DC's clusters and hub tier fold together, and the
+//! backbone rides with partition 0. Every piece of mutable simulation
 //! state has exactly one owning partition:
 //!
 //! * link and switch state — owned by the partition of the link's
@@ -21,33 +19,31 @@
 //! peer needs travels inside the packet ([`WirePacket`] carries the
 //! route it was emitted on, plus request metadata / issue timestamps on
 //! message-boundary segments). The only events that cross a partition
-//! boundary are `Transmit` hops onto a link owned elsewhere, whose
-//! propagation delay feeds the engine's conservative lookahead.
+//! boundary are `Transmit` hops onto a link owned elsewhere — a DR ↔
+//! backbone hop — whose propagation delay is the engine's global
+//! conservative lookahead ([`PartitionMap::lookahead`]).
 //!
 //! Determinism: every event carries the key `(at, src, seq)` where `src`
-//! is the **region** of the event's subject — not the partition, so the
-//! key is identical at every granularity — or [`EXT_SRC`] for the
-//! coordinator, and `seq` a per-region counter advanced only by the
-//! region's owning partition. Each partition drains its calendar
-//! strictly in key order, and the coordinator merges every
+//! is the **region** of the event's subject — not the partition — or
+//! [`EXT_SRC`] for the coordinator, and `seq` a per-region counter
+//! advanced only by the region's owning partition. Each partition drains
+//! its calendar strictly in key order, and the coordinator merges every
 //! cross-partition product (boundary events, tap calls, latency samples,
 //! buffer windows) in key order at each barrier — so nothing observable
-//! depends on how many worker threads carried the partitions, or on how
-//! regions were grouped into partitions.
+//! depends on how many worker threads carried the partitions.
 
 use crate::config::SimConfig;
 use crate::conn::{Conn, ConnPhase, DirState, MsgMeta};
 use crate::faults::FaultKind;
-use crate::packet::{ConnId, Dir, FlowKey, Packet, PacketKind};
+use crate::packet::{ConnId, Dir, Packet, PacketKind};
 use serde::{Deserialize, Serialize};
 use sonet_topology::{LinkHealth, LinkId, Node, SwitchId, Topology};
 use sonet_util::{SimDuration, SimTime};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
 
-use super::{BufferWindowStat, LinkCounters};
+use super::{BufferWindowStat, LinkCounters, WINDOW_CAP};
 
 /// Source tag for events scheduled by the coordinator (API calls, fault
 /// replicas, barrier-injected peer notifications). Sorts after every
@@ -79,6 +75,12 @@ impl Route {
 
     pub(crate) fn as_slice(&self) -> &[LinkId] {
         &self.hops[..self.len as usize]
+    }
+
+    /// The hops, or `None` when `len` exceeds [`MAX_HOPS`] — only a
+    /// corrupt checkpoint can hold such a route.
+    pub(crate) fn checked(&self) -> Option<&[LinkId]> {
+        self.hops.get(..self.len as usize)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -155,7 +157,7 @@ pub(crate) type EvKey = (SimTime, u32, u64);
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Scheduled {
     pub at: SimTime,
-    /// Partition that scheduled the event ([`EXT_SRC`] for the
+    /// Region that scheduled the event ([`EXT_SRC`] for the
     /// coordinator).
     pub src: u32,
     /// Per-source sequence number (schedule order within `src`).
@@ -186,57 +188,15 @@ impl Ord for Scheduled {
     }
 }
 
-/// How regions group into runtime partitions. The grouping never
-/// changes outputs — event keys are region-scoped — only how much
-/// parallelism the plant decomposes into.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Granularity {
-    /// One partition per datacenter; a DC's clusters and hub tier fold
-    /// together and the backbone rides with partition 0 (the pre-cluster
-    /// engine's decomposition — coarse, but cheap on barriers).
-    Dc,
-    /// One partition per region: every cluster, every DC hub tier and
-    /// the backbone run alone (the default — dozens of partitions whose
-    /// intra-cluster traffic never crosses a boundary).
-    Cluster,
-}
-
-/// Process-wide granularity override: 0 = unset (consult the
-/// `SONET_PARTITION` env var, default cluster), 1 = dc, 2 = cluster.
-static GRANULARITY_OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Sets the process-wide partition granularity override. `None` restores
-/// the default resolution (`SONET_PARTITION=dc|cluster`, else cluster).
-/// Takes effect for simulators built afterwards.
-pub fn set_granularity_override(g: Option<Granularity>) {
-    let v = match g {
-        None => 0,
-        Some(Granularity::Dc) => 1,
-        Some(Granularity::Cluster) => 2,
-    };
-    GRANULARITY_OVERRIDE.store(v, Ordering::Relaxed);
-}
-
-fn resolve_granularity() -> Granularity {
-    match GRANULARITY_OVERRIDE.load(Ordering::Relaxed) {
-        1 => return Granularity::Dc,
-        2 => return Granularity::Cluster,
-        _ => {}
-    }
-    match std::env::var("SONET_PARTITION").ok().as_deref() {
-        Some("dc") => Granularity::Dc,
-        _ => Granularity::Cluster,
-    }
-}
-
 /// Static decomposition of the plant: topology-fixed regions (clusters,
-/// per-DC hub tiers, backbone) grouped into runtime partitions.
+/// per-DC hub tiers, backbone) grouped into one runtime partition per
+/// datacenter.
 #[derive(Debug, Clone)]
 pub(crate) struct PartitionMap {
     pub n_parts: u32,
     /// Region count — clusters + datacenters + 1 (backbone). Fixed by
-    /// the topology, independent of the partition granularity; event
-    /// sources and checkpoint sequence counters are region-indexed.
+    /// the topology; event sources and checkpoint sequence counters are
+    /// region-indexed.
     pub n_regions: u32,
     pub part_of_host: Vec<u32>,
     pub part_of_switch: Vec<u32>,
@@ -252,19 +212,17 @@ pub(crate) struct PartitionMap {
     pub region_of_link: Vec<u32>,
     /// Owning partition of each region.
     pub part_of_region: Vec<u32>,
-    /// Per-partition minimum propagation delay (ns) over links this
-    /// partition owns whose receiving node lives elsewhere — the
-    /// earliest any chain of local events can reach another partition.
-    /// `None` when the partition has no outbound boundary link.
-    pub min_exit_ns: Vec<Option<u64>>,
+    /// Global conservative lookahead: the smallest propagation delay over
+    /// links whose endpoints sit in different partitions, capped at
+    /// [`WINDOW_CAP`]. No event handled at `t` can schedule into another
+    /// partition before `t + lookahead`.
+    pub lookahead: SimDuration,
 }
 
 impl PartitionMap {
+    /// Folds each cluster and hub region into its datacenter's partition
+    /// and the backbone into partition 0.
     pub(crate) fn new(topo: &Topology) -> PartitionMap {
-        Self::with_granularity(topo, resolve_granularity())
-    }
-
-    pub(crate) fn with_granularity(topo: &Topology, gran: Granularity) -> PartitionMap {
         let n_clusters = topo.clusters().len() as u32;
         let n_dcs = topo.datacenters().len() as u32;
         let backbone_region = n_clusters + n_dcs;
@@ -294,25 +252,13 @@ impl PartitionMap {
             .map(|l| region_of_node(l.from))
             .collect();
 
-        // Region → partition: identity at cluster granularity; at dc
-        // granularity a cluster maps to its datacenter, a hub region to
-        // its datacenter, and the backbone folds into partition 0 —
-        // exactly the pre-cluster engine's decomposition.
-        let (n_parts, part_of_region) = match gran {
-            Granularity::Cluster => (n_regions, (0..n_regions).collect::<Vec<u32>>()),
-            Granularity::Dc => {
-                let mut v = Vec::with_capacity(n_regions as usize);
-                for c in topo.clusters() {
-                    v.push(c.datacenter.index() as u32);
-                }
-                for d in 0..n_dcs {
-                    v.push(d);
-                }
-                v.push(0);
-                (n_dcs.max(1), v)
-            }
-        };
-
+        let part_of_region: Vec<u32> = topo
+            .clusters()
+            .iter()
+            .map(|c| c.datacenter.index() as u32)
+            .chain(0..n_dcs)
+            .chain([0])
+            .collect();
         let part_of_host: Vec<u32> = region_of_host
             .iter()
             .map(|&r| part_of_region[r as usize])
@@ -325,21 +271,15 @@ impl PartitionMap {
             Node::Host(h) => part_of_host[h.index()],
             Node::Switch(s) => part_of_switch[s.index()],
         };
-        let mut part_of_link = Vec::with_capacity(topo.links().len());
-        let mut min_exit_ns: Vec<Option<u64>> = vec![None; n_parts as usize];
-        for link in topo.links() {
-            let owner = part_of_node(link.from);
-            part_of_link.push(owner);
-            if part_of_node(link.to) != owner {
-                let slot = &mut min_exit_ns[owner as usize];
-                *slot = Some(match *slot {
-                    Some(l) => l.min(link.propagation_ns),
-                    None => link.propagation_ns,
-                });
-            }
-        }
+        let part_of_link: Vec<u32> = topo.links().iter().map(|l| part_of_node(l.from)).collect();
+        let lookahead = topo
+            .links()
+            .iter()
+            .filter(|l| part_of_node(l.from) != part_of_node(l.to))
+            .map(|l| SimDuration::from_nanos(l.propagation_ns))
+            .fold(WINDOW_CAP, SimDuration::min);
         PartitionMap {
-            n_parts,
+            n_parts: n_dcs.max(1),
             n_regions,
             part_of_host,
             part_of_switch,
@@ -348,7 +288,7 @@ impl PartitionMap {
             region_of_switch,
             region_of_link,
             part_of_region,
-            min_exit_ns,
+            lookahead,
         }
     }
 }
@@ -388,8 +328,7 @@ pub(crate) struct Counters {
 }
 
 /// Per-region buffer occupancy sampler shard over the switches of one
-/// region (held by the region's owning partition, so shard membership —
-/// like everything region-scoped — is granularity-independent).
+/// region (held by the region's owning partition).
 /// `orig[i]` is the switch's index in the full list the caller
 /// registered, which keys the canonical merge order of the produced
 /// windows.
@@ -433,13 +372,8 @@ pub(crate) struct Partition {
     pub events: BinaryHeap<Reverse<Scheduled>>,
     /// Per-region sequence counters (full region-count size; only the
     /// regions this partition owns ever advance). Region-scoped so event
-    /// keys — and checkpoints — are identical at every granularity.
+    /// keys — and checkpoints — are fixed by the topology alone.
     pub next_seqs: Vec<u64>,
-    /// Lower bounds on when pending work could first schedule into
-    /// another partition: `(bound, event time)`, min-heap by bound. The
-    /// coordinator reads the head to size the next window and lazily
-    /// pops entries whose event time has passed.
-    pub cross_bounds: BinaryHeap<Reverse<(SimTime, SimTime)>>,
     /// Client endpoints, dense by connection slot (None = this partition
     /// does not own the slot's client side).
     pub clients: Vec<Option<Conn>>,
@@ -508,7 +442,6 @@ impl Partition {
             cur_region: 0,
             events: BinaryHeap::new(),
             next_seqs: vec![0; sh.pmap.n_regions as usize],
-            cross_bounds: BinaryHeap::new(),
             clients: Vec::new(),
             servers: Vec::new(),
             link_free_at: vec![SimTime::ZERO; n_links],
@@ -538,11 +471,10 @@ impl Partition {
 
     /// Pushes a coordinator-scheduled event (no ownership routing; the
     /// coordinator already picked this partition).
-    pub(crate) fn push_ext(&mut self, sh: &SharedCtx, at: SimTime, seq: u64, ev: Ev) {
+    pub(crate) fn push_ext(&mut self, at: SimTime, seq: u64, ev: Ev) {
         if !matches!(ev, Ev::BufSample { .. }) {
             self.real_events += 1;
         }
-        self.note_cross(sh, at, &ev);
         self.events.push(Reverse(Scheduled {
             at,
             src: EXT_SRC,
@@ -562,7 +494,6 @@ impl Partition {
         }
         let seq = self.next_seqs[region as usize];
         self.next_seqs[region as usize] += 1;
-        self.note_cross(sh, at, &ev);
         self.events.push(Reverse(Scheduled {
             at,
             src: region,
@@ -573,7 +504,7 @@ impl Partition {
 
     /// Schedules a partition-local event, keyed by the region of the
     /// event currently being handled.
-    fn schedule(&mut self, sh: &SharedCtx, at: SimTime, ev: Ev) {
+    fn schedule(&mut self, at: SimTime, ev: Ev) {
         debug_assert!(at >= self.now, "scheduling into the past");
         if !matches!(ev, Ev::BufSample { .. }) {
             self.real_events += 1;
@@ -581,7 +512,6 @@ impl Partition {
         let src = self.cur_region;
         let seq = self.next_seqs[src as usize];
         self.next_seqs[src as usize] += 1;
-        self.note_cross(sh, at, &ev);
         self.events.push(Reverse(Scheduled { at, src, seq, ev }));
     }
 
@@ -592,94 +522,11 @@ impl Partition {
     fn schedule_cross(&mut self, target: u32, at: SimTime, ev: Ev) {
         debug_assert!(at >= self.now);
         // real_events is credited to the *target* when the coordinator
-        // merges the outbox at the barrier (which also classifies the
-        // event against the target's cross-bound heap).
+        // merges the outbox at the barrier.
         let src = self.cur_region;
         let seq = self.next_seqs[src as usize];
         self.next_seqs[src as usize] += 1;
         self.outbox[target as usize].push(Scheduled { at, src, seq, ev });
-    }
-
-    /// Records the cross-partition lower bound of a freshly enqueued
-    /// event, if handling it could ever reach another partition.
-    pub(crate) fn note_cross(&mut self, sh: &SharedCtx, at: SimTime, ev: &Ev) {
-        if let Some(bound) = self.cross_bound(sh, at, ev) {
-            self.cross_bounds.push(Reverse((bound, at)));
-        }
-    }
-
-    /// Lower bound on the earliest instant that handling `ev` at `at` —
-    /// or any chain of strictly-local events it spawns — could schedule
-    /// an event into another partition; `None` when no such chain
-    /// exists. Soundness argument in DESIGN.md §10: every cross-schedule
-    /// performed inside a window descends from some pre-window event,
-    /// and this classification of that ancestor already bounds it.
-    fn cross_bound(&self, sh: &SharedCtx, at: SimTime, ev: &Ev) -> Option<SimTime> {
-        let pm = &sh.pmap;
-        let min_exit = pm.min_exit_ns[self.idx as usize]?;
-        let conn_bound =
-            |straddles: bool| straddles.then(|| at + SimDuration::from_nanos(min_exit));
-        let key_straddles = |key: &FlowKey| {
-            pm.part_of_host[key.client.index()] != pm.part_of_host[key.server.index()]
-        };
-        match ev {
-            Ev::Transmit { pkt, hop } => {
-                // Walk the route while it stays on links we own,
-                // accumulating propagation; the first hop whose next
-                // location is foreign bounds the crossing exactly.
-                let hops = pkt.route.as_slice();
-                let mut acc = at;
-                for k in *hop as usize..hops.len() {
-                    let li = hops[k].index();
-                    debug_assert_eq!(pm.part_of_link[li], self.idx, "classifying a foreign hop");
-                    acc += SimDuration::from_nanos(sh.link_prop[li]);
-                    let next_part = if k + 1 == hops.len() {
-                        pm.part_of_host[pkt.p.wire_dst().index()]
-                    } else {
-                        pm.part_of_link[hops[k + 1].index()]
-                    };
-                    if next_part != self.idx {
-                        return Some(acc);
-                    }
-                }
-                // The packet terminates here; its delivery can still
-                // spawn reverse traffic that leaves (ACKs and responses
-                // of a partition-straddling connection).
-                conn_bound(key_straddles(&pkt.p.key))
-            }
-            Ev::Deliver { pkt } => conn_bound(key_straddles(&pkt.p.key)),
-            Ev::Rto { conn, dir } => {
-                conn_bound(self.conn_straddles(sh, *conn, *dir == Dir::ClientToServer))
-            }
-            Ev::Service { conn, .. } => conn_bound(self.conn_straddles(sh, *conn, false)),
-            Ev::OpenConn { conn }
-            | Ev::SynRetry { conn }
-            | Ev::SendMsg { conn, .. }
-            | Ev::Close { conn } => conn_bound(self.conn_straddles(sh, *conn, true)),
-            // Release/Retire mutate bookkeeping only; PeerGone tears a
-            // half down (Retire stays local); Fault mutates replicas;
-            // BufSample chains stay inside the region.
-            Ev::Release { .. }
-            | Ev::Retire { .. }
-            | Ev::PeerGone { .. }
-            | Ev::Fault { .. }
-            | Ev::BufSample { .. } => None,
-        }
-    }
-
-    /// Whether `conn`'s endpoints live in different partitions,
-    /// consulted through the endpoint table given which half the event
-    /// addresses. An absent or superseded half answers `true` — the
-    /// handler will no-op, and a conservative bound is always sound.
-    fn conn_straddles(&self, sh: &SharedCtx, conn: ConnId, client: bool) -> bool {
-        let table = if client { &self.clients } else { &self.servers };
-        match table.get(conn.index()).and_then(Option::as_ref) {
-            Some(c) => {
-                sh.pmap.part_of_host[c.key.client.index()]
-                    != sh.pmap.part_of_host[c.key.server.index()]
-            }
-            None => true,
-        }
     }
 
     /// Region of the event's subject: the host/link it touches, or the
@@ -799,7 +646,7 @@ impl Partition {
             }
             Ev::PeerGone { conn, client } => self.on_peer_gone(sh, conn, client),
             Ev::Fault { kind } => self.on_fault(kind),
-            Ev::BufSample { region } => self.on_buf_sample(sh, region),
+            Ev::BufSample { region } => self.on_buf_sample(region),
         }
     }
 
@@ -875,7 +722,6 @@ impl Partition {
         self.link_counters[li].tx_bytes += w as u64;
         self.link_counters[li].tx_packets += 1;
         self.schedule(
-            sh,
             end,
             Ev::Release {
                 link: li as u32,
@@ -916,7 +762,7 @@ impl Partition {
             sh.pmap.part_of_link[route.as_slice()[hop as usize + 1].index()]
         };
         if target == self.idx {
-            self.schedule(sh, arrive, next);
+            self.schedule(arrive, next);
         } else {
             self.schedule_cross(target, arrive, next);
         }
@@ -1056,7 +902,6 @@ impl Partition {
             let meta = pkt.meta.expect("last client->server segment carries meta");
             if meta.response_bytes > 0 {
                 self.schedule(
-                    sh,
                     self.now + meta.service_time,
                     Ev::Service {
                         conn: p.conn,
@@ -1126,7 +971,7 @@ impl Partition {
             Action::Idle => {}
             Action::Rearm => {
                 let at = self.now + rto;
-                self.schedule(sh, at, Ev::Rto { conn, dir });
+                self.schedule(at, Ev::Rto { conn, dir });
             }
             Action::Retransmit => {
                 // No progress since arming. If the pinned route broke,
@@ -1203,15 +1048,14 @@ impl Partition {
         // phase, backing off exponentially (capped) like a real
         // connect().
         let backoff = sh.cfg.rto * (1u64 << (attempts - 1).min(10));
-        self.schedule(sh, self.now + backoff, Ev::SynRetry { conn });
+        self.schedule(self.now + backoff, Ev::SynRetry { conn });
     }
 
     /// Closes one endpoint abruptly (no FIN): queues are dropped, pending
     /// timers find nothing in flight. A peer in the *same region* learns
     /// of the abort at the abort instant — the serial engine's atomic
-    /// whole-connection teardown, and a same-region peer shares this
-    /// partition at every granularity so the choice is
-    /// grouping-independent. A peer in another region is notified
+    /// whole-connection teardown (a same-region peer always shares this
+    /// partition). A peer in another region is notified
     /// through the coordinator [`super::ABORT_NOTIFY_DELAY`] later (a
     /// RST surfacing after the fabric round-trip). The slot (client side
     /// only) retires after quarantine.
@@ -1231,11 +1075,10 @@ impl Partition {
             // A conn that closed normally already scheduled its Retire;
             // scheduling a second one would double-free the slot.
             let at = self.now + sh.cfg.conn_quarantine;
-            self.schedule(sh, at, Ev::Retire { conn });
+            self.schedule(at, Ev::Retire { conn });
         }
         if sh.pmap.region_of_host[peer_host.index()] == self.cur_region {
             self.schedule(
-                sh,
                 self.now,
                 Ev::PeerGone {
                     conn,
@@ -1265,7 +1108,7 @@ impl Partition {
         };
         if client && !was_closed {
             let at = self.now + sh.cfg.conn_quarantine;
-            self.schedule(sh, at, Ev::Retire { conn });
+            self.schedule(at, Ev::Retire { conn });
         }
     }
 
@@ -1436,7 +1279,7 @@ impl Partition {
             // confused with a future occupant (generation tags guard
             // regardless).
             let at = self.now + sh.cfg.conn_quarantine;
-            self.schedule(sh, at, Ev::Retire { conn });
+            self.schedule(at, Ev::Retire { conn });
         }
     }
 
@@ -1484,7 +1327,7 @@ impl Partition {
         if ds.in_flight() > 0 && !ds.rto_armed {
             ds.rto_armed = true;
             ds.acked_at_arm = ds.acked;
-            self.schedule(sh, now + rto, Ev::Rto { conn, dir });
+            self.schedule(now + rto, Ev::Rto { conn, dir });
         }
     }
 
@@ -1556,14 +1399,14 @@ impl Partition {
             self.idx,
             "first hop of an emitted packet is always local"
         );
-        self.schedule(sh, self.now, Ev::Transmit { pkt, hop: 0 });
+        self.schedule(self.now, Ev::Transmit { pkt, hop: 0 });
     }
 
     // ------------------------------------------------------------------
     // Buffer sampling
     // ------------------------------------------------------------------
 
-    fn on_buf_sample(&mut self, sh: &SharedCtx, region: u32) {
+    fn on_buf_sample(&mut self, region: u32) {
         let Some(si) = self.buf_samplers.iter().position(|s| s.region == region) else {
             return;
         };
@@ -1576,7 +1419,7 @@ impl Partition {
             shard.samples[i].push(self.switch_occ[sw.index()]);
         }
         let next = self.now + shard.interval;
-        self.schedule(sh, next, Ev::BufSample { region });
+        self.schedule(next, Ev::BufSample { region });
     }
 
     /// Flushes every sampler shard's current window (end of run).

@@ -820,33 +820,23 @@ fn inter_datacenter_rtt_reflects_backbone_propagation() {
 // -----------------------------------------------------------------
 
 #[test]
-fn partition_count_follows_granularity() {
-    // Cluster granularity (the default): one partition per cluster, plus
-    // one per datacenter's hub tier, plus the backbone. Forced via the
-    // override so a SONET_PARTITION=dc environment cannot skew the test.
-    crate::engine::set_granularity_override(Some(crate::engine::Granularity::Cluster));
+fn one_partition_per_datacenter_with_backbone_lookahead() {
+    // A single datacenter is one partition: no link straddles two
+    // partitions, so the lookahead is the window cap.
     let one_dc = two_cluster_topo();
     let sim = sim_with_collector(&one_dc);
-    assert_eq!(sim.partitions(), 2 + 1 + 1);
+    assert_eq!(sim.partitions(), 1);
+    assert_eq!(sim.shared.pmap.lookahead, WINDOW_CAP);
 
+    // Two datacenters are two partitions; the backbone region (the last
+    // one) rides with partition 0, and only DR <-> backbone links
+    // straddle, so their 1 ms propagation is the lookahead.
     let two_dc = two_dc_topo();
     let sim = sim_with_collector(&two_dc);
-    assert_eq!(sim.partitions(), 2 + 2 + 1);
-    // Every region is its own partition, so the region→partition map is
-    // the identity.
-    assert_eq!(
-        sim.shared.pmap.part_of_region,
-        (0..sim.shared.pmap.n_regions).collect::<Vec<u32>>()
-    );
-
-    // Coarse (dc) granularity folds clusters into their datacenter —
-    // the pre-cluster engine's decomposition.
-    crate::engine::set_granularity_override(Some(crate::engine::Granularity::Dc));
-    let sim_one = sim_with_collector(&one_dc);
-    let sim_two = sim_with_collector(&two_dc);
-    crate::engine::set_granularity_override(None);
-    assert_eq!(sim_one.partitions(), 1);
-    assert_eq!(sim_two.partitions(), 2);
+    let pm = &sim.shared.pmap;
+    assert_eq!(sim.partitions(), 2);
+    assert_eq!(pm.part_of_region[pm.n_regions as usize - 1], 0);
+    assert_eq!(pm.lookahead, SimDuration::from_millis(1));
 }
 
 /// Two-DC workload with faults and telemetry, run at a given width; the
@@ -1294,6 +1284,65 @@ fn restore_rejects_foreign_version() {
         Err(SimError::Config(msg)) => assert!(msg.contains("version"), "{msg}"),
         Err(other) => panic!("expected Config error, got {other:?}"),
         Ok(_) => panic!("expected Config error, got a restored simulator"),
+    }
+}
+
+/// Replaces the first number that follows `field` after the first
+/// occurrence of `anchor` in `json`.
+fn forge_number(json: &str, anchor: &str, field: &str, value: u64) -> String {
+    let at = json.find(anchor).expect("anchor present") + anchor.len();
+    let start = at + json[at..].find(field).expect("field present") + field.len();
+    let len = json[start..]
+        .find(|c: char| !c.is_ascii_digit())
+        .expect("number ends");
+    assert!(len > 0, "{field} after {anchor} is not a number");
+    format!("{}{value}{}", &json[..start], &json[start + len..])
+}
+
+#[test]
+fn restore_rejects_corrupt_hosts_and_routes() {
+    // Step a busy plant until its calendar holds packets both on the wire
+    // and about to be delivered (propagating on their last hop).
+    let topo = two_cluster_topo();
+    let mut sim = busy_sim(&topo);
+    let mut json = String::new();
+    for ns in (100..2_000_000).step_by(100) {
+        sim.run_until(SimTime::from_nanos(ns));
+        json = serde_json::to_string(&sim.checkpoint()).expect("serialize");
+        if json.contains("{\"Deliver\":") && json.contains("{\"Transmit\":") {
+            break;
+        }
+    }
+    let cases = [
+        (
+            "client endpoint host",
+            forge_number(&json, "\"conns_client\":", "\"client\":", 999_999),
+        ),
+        (
+            "server endpoint host",
+            forge_number(&json, "\"conns_server\":", "\"server\":", 999_999),
+        ),
+        (
+            "transmit route length",
+            forge_number(&json, "{\"Transmit\":", "\"len\":", 200),
+        ),
+        (
+            "transmit route hop",
+            forge_number(&json, "{\"Transmit\":", "\"hops\":[", 999_999),
+        ),
+        (
+            "deliver destination host",
+            forge_number(&json, "{\"Deliver\":", "\"client\":", 999_999),
+        ),
+    ];
+    for (what, forged) in cases {
+        assert_ne!(json, forged, "{what}: nothing was forged");
+        let ckpt: EngineCheckpoint = serde_json::from_str(&forged).expect("parse");
+        match Simulator::restore(Arc::clone(&topo), NullTap, ckpt) {
+            Err(SimError::Config(msg)) => assert!(msg.contains("out-of-range"), "{what}: {msg}"),
+            Err(other) => panic!("{what}: expected Config error, got {other:?}"),
+            Ok(_) => panic!("{what}: expected Config error, got a restored simulator"),
+        }
     }
 }
 

@@ -42,9 +42,8 @@ pub mod tap;
 
 pub use config::{BufferConfig, SimConfig};
 pub use engine::{
-    set_granularity_override, AuditReport, AuditViolation, BufferWindowStat, EngineCheckpoint,
-    FidelityConfig, FidelityMode, Granularity, LinkCounters, LiveCounters, ParallelStats, SimError,
-    SimOutputs, Simulator,
+    AuditReport, AuditViolation, BufferWindowStat, EngineCheckpoint, FidelityConfig, FidelityMode,
+    LinkCounters, LiveCounters, ParallelStats, SimError, SimOutputs, Simulator,
 };
 pub use faults::{FaultEvent, FaultKind, FaultPlan, MAX_FLAP_CYCLES};
 pub use packet::{ConnId, Dir, FlowKey, Packet, PacketKind};

@@ -1,7 +1,7 @@
 //! Chaos-campaign integration tests: determinism of the campaign report
-//! across thread widths AND partition granularities, resume of a
-//! campaign killed at a manifest barrier on a different width and
-//! granularity, the shrinker on the known-bad plan, standalone repro
+//! across thread widths, resume of a campaign killed at a manifest
+//! barrier on a different width, the shrinker on the known-bad plan,
+//! standalone repro
 //! replay, checkpoint/resume inside an active fault window, and
 //! abort/reopen accounting under flapping links.
 
@@ -13,19 +13,11 @@ use sonet_core::chaos::{
     plan_hash, replay_repro, run_campaign, CampaignConfig, ChaosProfile, ExecConfig, ReproFile,
 };
 use sonet_core::scenario::{packet_tier_spec, ScenarioScale};
-use sonet_netsim::{
-    set_granularity_override, FaultKind, FaultPlan, Granularity, NullTap, SimConfig, Simulator,
-};
+use sonet_netsim::{FaultKind, FaultPlan, NullTap, SimConfig, Simulator};
 use sonet_topology::Topology;
 use sonet_util::{par, SimDuration, SimTime};
 use sonet_workload::{ServiceProfiles, Workload};
-use std::sync::{Arc, Mutex};
-
-/// Serializes the tests that flip the process-global partition
-/// granularity override, so each leg really runs at the granularity its
-/// label claims (byte identity would hold either way — labels matter for
-/// diagnosing a failure).
-static GRAN_LOCK: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 fn tiny_exec(seed: u64) -> ExecConfig {
     ExecConfig {
@@ -73,37 +65,25 @@ fn known_bad_plan_violates_and_shrinks_to_one_event() {
 }
 
 #[test]
-fn campaign_report_is_byte_identical_across_widths_and_granularities() {
-    let _g = GRAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn campaign_report_is_byte_identical_across_widths() {
     let profiles = ChaosProfile::select("rack-outage,gray-core").expect("profiles");
     let mut cfg = CampaignConfig::new(profiles, 2, 42);
     cfg.max_shrinks = 1;
-    let legs = [
-        (Granularity::Dc, 1usize),
-        (Granularity::Dc, 2),
-        (Granularity::Dc, 8),
-        (Granularity::Cluster, 8),
-    ];
+    let widths = [1usize, 2, 8];
     let mut reports = Vec::new();
-    for (granularity, width) in legs {
-        set_granularity_override(Some(granularity));
+    for width in widths {
         par::set_threads(width);
         let report = run_campaign(&cfg, None, false).expect("campaign");
         reports.push(serde_json::to_string(&report).expect("json"));
     }
     par::set_threads(0);
-    set_granularity_override(None);
-    for (i, (granularity, width)) in legs.iter().enumerate().skip(1) {
-        assert_eq!(
-            reports[0], reports[i],
-            "{granularity:?} × width {width} changed the report"
-        );
+    for (i, width) in widths.iter().enumerate().skip(1) {
+        assert_eq!(reports[0], reports[i], "width {width} changed the report");
     }
 }
 
 #[test]
-fn campaign_killed_at_a_barrier_resumes_at_new_width_and_granularity() {
-    let _g = GRAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+fn campaign_killed_at_a_barrier_resumes_at_new_width() {
     let dir = std::env::temp_dir().join(format!("sonet-chaos-kill-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     // Nine runs: one more than the 8-run manifest chunk, so a kill after
@@ -111,8 +91,7 @@ fn campaign_killed_at_a_barrier_resumes_at_new_width_and_granularity() {
     let mut cfg = CampaignConfig::new(ChaosProfile::select("rack-outage").expect("p"), 9, 13);
     cfg.max_shrinks = 0;
 
-    // The uninterrupted reference: serial, per-datacenter calendars.
-    set_granularity_override(Some(Granularity::Dc));
+    // The uninterrupted reference: serial.
     par::set_threads(1);
     run_campaign(&cfg, Some(&dir), false).expect("campaign");
     let reference = std::fs::read(dir.join("campaign-report.json")).expect("report");
@@ -149,14 +128,11 @@ fn campaign_killed_at_a_barrier_resumes_at_new_width_and_granularity() {
     .expect("write manifest");
     std::fs::remove_file(dir.join("campaign-report.json")).expect("drop report");
 
-    // Resume on a different worker width AND partition granularity: the
-    // ninth run re-executes under per-cluster calendars at width 8, yet
-    // the report must come back byte-for-byte.
-    set_granularity_override(Some(Granularity::Cluster));
+    // Resume on a different worker width: the ninth run re-executes at
+    // width 8, yet the report must come back byte-for-byte.
     par::set_threads(8);
     run_campaign(&cfg, Some(&dir), true).expect("resume");
     par::set_threads(0);
-    set_granularity_override(None);
     assert_eq!(
         std::fs::read(dir.join("campaign-report.json")).expect("resumed report"),
         reference,
@@ -265,17 +241,8 @@ fn checkpoint_inside_fault_window_resumes_identically_across_widths() {
     let reference = serde_json::to_string(&origin.checkpoint()).expect("json");
 
     // The checkpoint canonicalizes to the serial form, so a resume may
-    // pick any worker width AND any partition granularity — including
-    // ones the saving run never used.
-    let _g = GRAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for (granularity, width) in [
-        (Granularity::Dc, 1usize),
-        (Granularity::Dc, 2),
-        (Granularity::Dc, 8),
-        (Granularity::Cluster, 1),
-        (Granularity::Cluster, 8),
-    ] {
-        set_granularity_override(Some(granularity));
+    // pick any worker width — including ones the saving run never used.
+    for width in [1usize, 2, 8] {
         let ckpt = serde_json::from_str(&saved).expect("parse");
         let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
         resumed.set_parallel_width(Some(width));
@@ -283,10 +250,9 @@ fn checkpoint_inside_fault_window_resumes_identically_across_widths() {
         assert_eq!(
             serde_json::to_string(&resumed.checkpoint()).expect("json"),
             reference,
-            "{granularity:?} width-{width} resume diverged from the uninterrupted run"
+            "width-{width} resume diverged from the uninterrupted run"
         );
     }
-    set_granularity_override(None);
 }
 
 #[test]

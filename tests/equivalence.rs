@@ -1,19 +1,14 @@
-//! Byte-identity of the partitioned engine across worker widths and
-//! partition granularities.
+//! Byte-identity of the partitioned engine across worker widths.
 //!
 //! The conservative-lookahead parallel calendar (DESIGN.md §10) promises
-//! that neither `--threads N` nor `SONET_PARTITION=dc|cluster` ever
-//! changes an output byte — not in the engine counters, not in the tap
-//! stream, not in any sampler series or rendered report, with or without
-//! an active fault plan. This suite is that promise, stated as tests.
+//! that `--threads N` never changes an output byte — not in the engine
+//! counters, not in the tap stream, not in any sampler series or
+//! rendered report, with or without an active fault plan. This suite is
+//! that promise, stated as tests.
 //!
-//! CI runs it as a matrix leg with `SONET_THREADS={1,2,8}` crossed with
-//! `SONET_PARTITION={dc,cluster}`: when the thread variable is set, each
-//! test compares that width against the serial baseline; unset, it
-//! sweeps widths 1, 2, and 8 itself. The granularity variable is read by
-//! the engine directly, so every test in the file doubles as a
-//! granularity leg; `capture_identical_at_every_partition_granularity`
-//! additionally pins dc against cluster inside one process.
+//! CI runs it as a matrix leg with `SONET_THREADS={1,2,8}`: when the
+//! thread variable is set, each test compares that width against the
+//! serial baseline; unset, it sweeps widths 1, 2, and 8 itself.
 
 use sonet_dc::core::reports::Fig15Config;
 use sonet_dc::core::supervised::{run_capture, RunStatus, SuperviseOptions};
@@ -51,17 +46,6 @@ fn at_width<T>(w: usize, f: impl FnOnce() -> T) -> T {
     par::set_threads(w);
     let out = f();
     par::set_threads(0);
-    out
-}
-
-/// Runs `f` with the partition granularity pinned to `g`, restoring the
-/// environment default afterwards. Like the width global, a concurrent
-/// test seeing the altered value is harmless by construction: the
-/// decomposition must not be observable in any output byte.
-fn at_granularity<T>(g: sonet_dc::netsim::Granularity, f: impl FnOnce() -> T) -> T {
-    sonet_dc::netsim::set_granularity_override(Some(g));
-    let out = f();
-    sonet_dc::netsim::set_granularity_override(None);
     out
 }
 
@@ -147,30 +131,6 @@ fn capture_identical_at_every_width_under_active_faults() {
             at_width(w, || capture_fingerprint(&cfg)),
             "width {w} changed a faulted capture output byte"
         );
-    }
-}
-
-#[test]
-fn capture_identical_at_every_partition_granularity() {
-    // The tentpole claim: refining 4 datacenter partitions into dozens of
-    // cluster partitions moves execution, never bytes. A faulted capture
-    // (rerouting + telemetry loss in flight) compared dc vs cluster,
-    // crossed with the width matrix.
-    use sonet_dc::netsim::Granularity;
-    let topo = Topology::build(packet_tier_spec(ScenarioScale::Tiny)).expect("valid spec");
-    let plan = FaultPlan::random(&topo, 97, SimDuration::from_secs(3), 2);
-    let cfg = CaptureConfig::fast(97).with_faults(plan);
-    let base = at_granularity(Granularity::Dc, || {
-        at_width(1, || capture_fingerprint(&cfg))
-    });
-    for g in [Granularity::Dc, Granularity::Cluster] {
-        for w in widths() {
-            let got = at_granularity(g, || at_width(w, || capture_fingerprint(&cfg)));
-            assert_eq!(
-                base, got,
-                "granularity {g:?} at width {w} changed a capture output byte"
-            );
-        }
     }
 }
 

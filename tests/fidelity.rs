@@ -5,8 +5,7 @@
 //! `--fidelity=hybrid` run must reproduce the *shapes* the paper's
 //! analyses are built on — FCT CDFs, heavy-hitter ranks, locality
 //! mixes — while packet-only runs stay byte-identical to the engine
-//! before the fast path existed. Every gate here runs at widths 1/2/8
-//! (and both partition granularities where the packet suite does),
+//! before the fast path existed. Every gate here runs at widths 1/2/8,
 //! because the fast path executes on the coordinator and must be as
 //! width-blind as the packet calendar.
 
@@ -16,18 +15,13 @@ use sonet_dc::core::supervised::{resume_capture, run_capture, RunStatus, Supervi
 use sonet_dc::core::supervisor::{RunBudget, StopReason};
 use sonet_dc::core::{packet_tier_spec, reports, CaptureConfig, ScenarioScale, StandardCapture};
 use sonet_dc::netsim::{
-    set_granularity_override, FaultKind, FaultPlan, FidelityConfig, FidelityMode, Granularity,
-    NullTap, SimConfig, SimOutputs, Simulator,
+    FaultKind, FaultPlan, FidelityConfig, FidelityMode, NullTap, SimConfig, SimOutputs, Simulator,
 };
 use sonet_dc::topology::{HostRole, Topology};
 use sonet_dc::util::{par, EmpiricalCdf, SimDuration, SimTime};
 use sonet_dc::workload::{ServiceProfiles, Workload};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
-
-/// Serializes the tests that flip the process-global granularity
-/// override (same idiom as tests/chaos.rs).
-static GRAN_LOCK: Mutex<()> = Mutex::new(());
 
 /// Worker widths under test (the CI matrix leg or the 1/2/8 sweep).
 fn widths() -> Vec<usize> {
@@ -44,13 +38,6 @@ fn at_width<T>(w: usize, f: impl FnOnce() -> T) -> T {
     par::set_threads(w);
     let out = f();
     par::set_threads(0);
-    out
-}
-
-fn at_granularity<T>(g: Granularity, f: impl FnOnce() -> T) -> T {
-    set_granularity_override(Some(g));
-    let out = f();
-    set_granularity_override(None);
     out
 }
 
@@ -180,28 +167,16 @@ fn explicit_packet_fidelity_flag_is_byte_inert() {
 }
 
 /// The fast path runs on the coordinator, so a hybrid run is subject to
-/// the same promise as a packet run: worker width and partition
-/// granularity must not change one output byte.
+/// the same promise as a packet run: worker width must not change one
+/// output byte.
 #[test]
-fn hybrid_capture_identical_at_every_width_and_granularity() {
+fn hybrid_capture_identical_at_every_width() {
     let cfg = CaptureConfig::fast(4242).with_fidelity(FidelityMode::Hybrid);
-    let _g = GRAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    let base = at_granularity(Granularity::Dc, || {
-        at_width(1, || capture_fingerprint(&cfg))
-    });
+    let base = at_width(1, || capture_fingerprint(&cfg));
     for w in widths().into_iter().skip(1) {
-        let probe = at_granularity(Granularity::Dc, || {
-            at_width(w, || capture_fingerprint(&cfg))
-        });
+        let probe = at_width(w, || capture_fingerprint(&cfg));
         assert_eq!(base, probe, "hybrid capture diverged at width {w}");
     }
-    let clustered = at_granularity(Granularity::Cluster, || {
-        at_width(8, || capture_fingerprint(&cfg))
-    });
-    assert_eq!(
-        base, clustered,
-        "hybrid capture diverged under per-cluster calendars"
-    );
 }
 
 /// Jaccard overlap of two heavy-hitter sets.
@@ -319,7 +294,7 @@ fn faulted_hybrid_sim(topo: &Arc<Topology>) -> Simulator<NullTap> {
 /// The versioned checkpoint carries the whole fast-path section —
 /// calendar, virtual queues, fault schedule, counters — so a hybrid run
 /// checkpointed inside a fault window resumes byte-identically at any
-/// worker width and partition granularity.
+/// worker width.
 #[test]
 fn hybrid_checkpoint_inside_fault_window_resumes_identically_across_widths() {
     let topo = Arc::new(Topology::build(packet_tier_spec(ScenarioScale::Tiny)).expect("build"));
@@ -341,15 +316,7 @@ fn hybrid_checkpoint_inside_fault_window_resumes_identically_across_widths() {
         "the fault window must demote the flow pinned through the dead uplink"
     );
 
-    let _g = GRAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    for (granularity, width) in [
-        (Granularity::Dc, 1usize),
-        (Granularity::Dc, 2),
-        (Granularity::Dc, 8),
-        (Granularity::Cluster, 1),
-        (Granularity::Cluster, 8),
-    ] {
-        set_granularity_override(Some(granularity));
+    for width in [1usize, 2, 8] {
         let ckpt = serde_json::from_str(&saved).expect("parse");
         let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
         resumed.set_parallel_width(Some(width));
@@ -358,19 +325,17 @@ fn hybrid_checkpoint_inside_fault_window_resumes_identically_across_widths() {
         assert_eq!(
             serde_json::to_string(&resumed.checkpoint()).expect("json"),
             reference,
-            "{granularity:?} width-{width} hybrid resume diverged from the uninterrupted run"
+            "width-{width} hybrid resume diverged from the uninterrupted run"
         );
     }
-    set_granularity_override(None);
 }
 
 /// The supervised driver's kill-at-a-barrier path, in hybrid mode: a
 /// zero wall-clock budget stops the run at its first checkpoint, the
-/// resume picks a different worker width AND partition granularity, and
-/// the final outputs and reports still match an uninterrupted hybrid run
+/// resume picks a different worker width, and the final outputs and reports still match an uninterrupted hybrid run
 /// byte for byte.
 #[test]
-fn killed_hybrid_capture_resumes_at_new_width_and_granularity_identically() {
+fn killed_hybrid_capture_resumes_at_new_width_identically() {
     let dir = std::env::temp_dir().join(format!("sonet-fidelity-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let cfg = CaptureConfig {
@@ -393,16 +358,13 @@ fn killed_hybrid_capture_resumes_at_new_width_and_granularity_identically() {
     ));
     assert!(cap.is_none(), "a stopped run yields no results yet");
 
-    let _g = GRAN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let resume_opts = SuperviseOptions {
         every: SimDuration::from_millis(250),
         ..SuperviseOptions::new(&dir)
     };
-    set_granularity_override(Some(Granularity::Cluster));
     par::set_threads(8);
     let resumed = resume_capture(&stop_opts.capture_checkpoint_path(), &resume_opts);
     par::set_threads(0);
-    set_granularity_override(None);
     let (status, cap) = resumed.expect("resume");
     assert_eq!(status, RunStatus::Completed);
     let resumed = cap.expect("completed run yields a capture");
