@@ -3,8 +3,13 @@
 //! Measures the three rates the performance work is judged on — engine
 //! events/sec, fleet-tier records/sec (generation + tagging), and
 //! end-to-end scenario wall time (fleet generate + tag + Table 3 +
-//! Fig 5) — and writes them to `BENCH.json` for CI to archive and
-//! regression-check against `crates/bench/BENCH-baseline.json`.
+//! Fig 5) — plus the partitioned, obs and hybrid legs, fills a
+//! [`sonet_bench::ledger::Bench`] and writes it to `BENCH.json` with
+//! `serde_json`. It then runs [`sonet_bench::ledger::gates`] against the
+//! committed `crates/bench/BENCH-baseline.json`, prints one
+//! `OK`/`SKIP`/`FAIL` line per gate and exits non-zero if any gate
+//! fails. The file is written first, so a failing run still leaves its
+//! numbers on disk.
 //!
 //! ```text
 //! cargo bench -p sonet-bench --bench throughput -- --threads 2
@@ -15,6 +20,7 @@
 //! outputs are byte-identical for every value, only the rates move.
 //! `SONET_BENCH_OUT` overrides the output path (default `BENCH.json`).
 
+use sonet_bench::ledger::{self, Bench, Hybrid, Obs, ObsTimeline, PartWidth, Partitioned};
 use sonet_bench::{banner, fast_mode, BENCH_SEED};
 use sonet_core::reports;
 use sonet_core::scenario::{packet_tier_spec, ScenarioScale};
@@ -24,30 +30,13 @@ use sonet_topology::{ClusterSpec, DatacenterSpec, HostRole, SiteSpec, Topology, 
 use sonet_util::obs::{self, ObsMode};
 use sonet_util::{par, SimDuration, SimTime};
 use sonet_workload::{ServiceProfiles, Workload};
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// One timed measurement, printed and serialized.
-struct Measurement {
-    engine_events: u64,
-    engine_secs: f64,
-    fleet_records: u64,
-    fleet_generate_secs: f64,
-    analysis_secs: f64,
-}
-
-impl Measurement {
-    fn events_per_sec(&self) -> f64 {
-        self.engine_events as f64 / self.engine_secs.max(1e-9)
-    }
-
-    fn records_per_sec(&self) -> f64 {
-        self.fleet_records as f64 / self.fleet_generate_secs.max(1e-9)
-    }
-
-    fn scenario_wall_secs(&self) -> f64 {
-        self.fleet_generate_secs + self.analysis_secs
-    }
+/// `n` per `secs`, guarded against a zero-length timing.
+fn per_sec(n: u64, secs: f64) -> f64 {
+    n as f64 / secs.max(1e-9)
 }
 
 /// Engine throughput: drive the packet-tier workload on its plant for a
@@ -69,31 +58,6 @@ fn bench_engine(scale: ScenarioScale, sim_secs: u64) -> (u64, f64) {
     }
     let events = sim.processed_events();
     (events, start.elapsed().as_secs_f64())
-}
-
-/// One width's partitioned-engine measurement.
-struct PartWidth {
-    threads: usize,
-    events: u64,
-    secs: f64,
-    barriers: u64,
-    /// Partition calendars stolen off another worker's deque.
-    steals: u64,
-    /// Partition count: one per datacenter.
-    partitions: usize,
-    /// Measured worker utilization: wall time the pool's workers spent
-    /// draining calendars divided by (width × the pool's elapsed wall
-    /// time across all windows). 1.0 = no idle gaps; low values mean
-    /// workers starved waiting at barriers. Unlike an event-count proxy,
-    /// this moves with the width: more workers racing the same windows
-    /// means more idle time unless stealing rebalances them.
-    barrier_util: f64,
-}
-
-impl PartWidth {
-    fn rate(&self) -> f64 {
-        self.events as f64 / self.secs.max(1e-9)
-    }
 }
 
 /// A four-datacenter plant: the partitioned engine runs one event
@@ -191,47 +155,21 @@ fn bench_partitioned(topo: &Arc<Topology>, width: usize, fast: bool) -> (PartWid
     } else {
         1.0
     };
-    let n_parts = sim.partitions();
+    let partitions = sim.partitions();
     let (out, _) = sim.finish();
     (
         PartWidth {
             threads: width,
             events,
             secs,
+            rate: per_sec(events, secs),
             barriers: stats.barriers,
-            steals: stats.steals,
-            partitions: n_parts,
+            steal_count: stats.steals,
+            partitions,
             barrier_util: util,
         },
         serde_json::to_string(&out).expect("json"),
     )
-}
-
-/// Packet vs hybrid fidelity on the same bulk workload, both at width 1.
-struct HybridBench {
-    packet_events: u64,
-    packet_secs: f64,
-    hybrid_events: u64,
-    hybrid_secs: f64,
-    completed_requests: u64,
-    flows_fast: u64,
-}
-
-impl HybridBench {
-    /// Wall-clock speedup for the same simulated traffic and horizon.
-    /// Raw events/sec is meaningless across fidelity modes — the fast
-    /// path retires whole transfers analytically, so the hybrid run
-    /// *has* far fewer events; what matters is how much faster it covers
-    /// the identical workload.
-    fn wall_speedup(&self) -> f64 {
-        self.packet_secs / self.hybrid_secs.max(1e-9)
-    }
-
-    /// Packet-equivalent throughput: the packet run's event volume
-    /// retired per hybrid wall second. This is the ≥5× gate's currency.
-    fn equiv_events_sec(&self) -> f64 {
-        self.packet_events as f64 / self.hybrid_secs.max(1e-9)
-    }
 }
 
 /// Hybrid fast-path speedup: the locality-mix bulk workload — no
@@ -243,7 +181,7 @@ impl HybridBench {
 /// in this process, like the obs bench: the hybrid leg finishes in
 /// milliseconds on the fast-mode plant, and a single noisy sample must
 /// not swing a ≥5× ratio gate.
-fn bench_hybrid(topo: &Arc<Topology>, fast: bool, rounds: u32) -> HybridBench {
+fn bench_hybrid(topo: &Arc<Topology>, fast: bool, rounds: u32) -> Hybrid {
     let run = |hybrid: bool| {
         let mut sim =
             Simulator::new(Arc::clone(topo), SimConfig::default(), NullTap).expect("bench sim");
@@ -274,26 +212,16 @@ fn bench_hybrid(topo: &Arc<Topology>, fast: bool, rounds: u32) -> HybridBench {
         hout.flows_packet, 0,
         "the bulk workload must not carve fidelity islands"
     );
-    HybridBench {
+    Hybrid {
         packet_events,
         packet_secs,
         hybrid_events,
         hybrid_secs,
         completed_requests: hout.completed_requests,
         flows_fast: hout.flows_fast,
+        equiv_events_sec: per_sec(packet_events, hybrid_secs),
+        wall_speedup_over_packet: packet_secs / hybrid_secs.max(1e-9),
     }
-}
-
-/// The streaming-timeline cost measured alongside the overhead gate.
-struct TimelineBench {
-    /// Snapshots the summary leg wrote (windows + final).
-    snapshots: u64,
-    /// Mean wall microseconds per snapshot (registry drain + diff +
-    /// framed append).
-    snapshot_us: f64,
-    /// Artifact growth rate at the benched interval, bytes per
-    /// wall-clock minute.
-    bytes_per_min: f64,
 }
 
 /// Flight-recorder overhead: the same serial engine workload with the
@@ -303,15 +231,11 @@ struct TimelineBench {
 /// The summary leg streams a timeline (250 ms sim interval) so the ≤2%
 /// budget covers the snapshot path too; its cost is returned as the
 /// `obs_timeline` BENCH block.
-fn bench_obs_overhead(
-    scale: ScenarioScale,
-    sim_secs: u64,
-    rounds: u32,
-) -> (f64, f64, TimelineBench) {
+fn bench_obs_overhead(scale: ScenarioScale, sim_secs: u64, rounds: u32) -> (Obs, ObsTimeline) {
     let tl_path = std::env::temp_dir().join("sonet-bench-TIMELINE.jsonl");
     let run_off = || {
         let (events, secs) = bench_engine(scale, sim_secs);
-        events as f64 / secs.max(1e-9)
+        per_sec(events, secs)
     };
     let run_summary = || {
         obs::set_mode(ObsMode::Summary);
@@ -321,11 +245,11 @@ fn bench_obs_overhead(
         let stats = obs::timeline::finish(SimTime::from_secs(sim_secs).as_nanos());
         obs::set_mode(ObsMode::Off);
         obs::timeline::set_interval_ns(0);
-        (events as f64 / secs.max(1e-9), stats, secs)
+        (per_sec(events, secs), stats, secs)
     };
     let mut off = 0.0f64;
     let mut summary = 0.0f64;
-    let mut tl = TimelineBench {
+    let mut tl = ObsTimeline {
         snapshots: 0,
         snapshot_us: 0.0,
         bytes_per_min: 0.0,
@@ -335,7 +259,7 @@ fn bench_obs_overhead(
         let (rate, stats, secs) = run_summary();
         summary = summary.max(rate);
         if let Some(s) = stats {
-            tl = TimelineBench {
+            tl = ObsTimeline {
                 snapshots: s.snapshots,
                 snapshot_us: s.spent_ns as f64 / 1_000.0 / s.snapshots.max(1) as f64,
                 bytes_per_min: s.bytes as f64 / (secs.max(1e-9) / 60.0),
@@ -343,7 +267,12 @@ fn bench_obs_overhead(
         }
     }
     std::fs::remove_file(&tl_path).ok();
-    (off, summary, tl)
+    let obs = Obs {
+        off_events_sec: off,
+        summary_events_sec: summary,
+        overhead_pct: (off - summary) / off.max(1e-9) * 100.0,
+    };
+    (obs, tl)
 }
 
 /// Fleet tier: generation + tagging rate, then the analysis stage
@@ -361,107 +290,7 @@ fn bench_fleet(cfg: &FleetRunConfig, threads: Option<usize>) -> (u64, f64, f64) 
     (records, generate_secs, analysis_secs)
 }
 
-fn json(
-    m: &Measurement,
-    threads: usize,
-    partitioned: &[PartWidth],
-    partitions: usize,
-    obs_rates: (f64, f64),
-    timeline: &TimelineBench,
-    hybrid: &HybridBench,
-) -> String {
-    // The per-width rate fields are deliberately NOT named
-    // "events_per_sec": CI greps that exact key for the serial
-    // regression check and must keep matching exactly one line.
-    let widths: Vec<String> = partitioned
-        .iter()
-        .map(|p| {
-            format!(
-                "    {{ \"threads\": {}, \"events\": {}, \"secs\": {:.6}, \
-                 \"rate\": {:.1}, \"barriers\": {}, \"steal_count\": {}, \
-                 \"partitions\": {}, \"barrier_util\": {:.4} }}",
-                p.threads,
-                p.events,
-                p.secs,
-                p.rate(),
-                p.barriers,
-                p.steals,
-                p.partitions,
-                p.barrier_util,
-            )
-        })
-        .collect();
-    let speedup = match (partitioned.first(), partitioned.last()) {
-        (Some(w1), Some(wn)) if w1.threads != wn.threads => wn.rate() / w1.rate().max(1e-9),
-        _ => 1.0,
-    };
-    let cores = std::thread::available_parallelism()
-        .map(std::num::NonZeroUsize::get)
-        .unwrap_or(1);
-    let part_block = format!(
-        "  \"partitioned\": {{\n    \"partitions\": {partitions},\n    \"cores\": {cores},\n    \
-         \"widths\": [\n{}\n    ],\n    \"speedup_max_over_w1\": {speedup:.3}\n  }}",
-        widths.join(",\n"),
-    );
-    // The obs keys avoid the substrings CI greps for elsewhere
-    // ("events_per_sec", the per-width "rate" lines): the overhead gate
-    // matches "overhead_pct" and nothing else may.
-    let (off, summary) = obs_rates;
-    let obs_block = format!(
-        "  \"obs\": {{\n    \"off_events_sec\": {off:.1},\n    \
-         \"summary_events_sec\": {summary:.1},\n    \
-         \"overhead_pct\": {:.2}\n  }}",
-        (off - summary) / off.max(1e-9) * 100.0,
-    );
-    // Streaming-timeline cost at the benched 250 ms interval (same
-    // key discipline: "snapshot_us"/"bytes_per_min" collide with no
-    // other CI grep).
-    let timeline_block = format!(
-        "  \"obs_timeline\": {{\n    \"snapshots\": {},\n    \
-         \"snapshot_us\": {:.2},\n    \"bytes_per_min\": {:.0}\n  }}",
-        timeline.snapshots, timeline.snapshot_us, timeline.bytes_per_min,
-    );
-    // Same key-naming discipline: no substring of "events_per_sec", no
-    // `"rate": ` on a line with a `"threads":` key. CI's hybrid gate
-    // matches "wall_speedup_over_packet" and nothing else may.
-    let hybrid_block = format!(
-        "  \"hybrid\": {{\n    \"packet_events\": {},\n    \"packet_secs\": {:.6},\n    \
-         \"hybrid_events\": {},\n    \"hybrid_secs\": {:.6},\n    \
-         \"completed_requests\": {},\n    \"flows_fast\": {},\n    \
-         \"equiv_events_sec\": {:.1},\n    \"wall_speedup_over_packet\": {:.3}\n  }}",
-        hybrid.packet_events,
-        hybrid.packet_secs,
-        hybrid.hybrid_events,
-        hybrid.hybrid_secs,
-        hybrid.completed_requests,
-        hybrid.flows_fast,
-        hybrid.equiv_events_sec(),
-        hybrid.wall_speedup(),
-    );
-    format!(
-        "{{\n  \"schema\": 6,\n  \"threads\": {},\n  \"fast\": {},\n  \
-         \"engine_events\": {},\n  \"engine_secs\": {:.6},\n  \
-         \"events_per_sec\": {:.1},\n  \"fleet_records\": {},\n  \
-         \"fleet_generate_secs\": {:.6},\n  \"fleet_records_per_sec\": {:.1},\n  \
-         \"analysis_secs\": {:.6},\n  \"scenario_wall_secs\": {:.6},\n{},\n{},\n{},\n{}\n}}\n",
-        threads,
-        fast_mode(),
-        m.engine_events,
-        m.engine_secs,
-        m.events_per_sec(),
-        m.fleet_records,
-        m.fleet_generate_secs,
-        m.records_per_sec(),
-        m.analysis_secs,
-        m.scenario_wall_secs(),
-        part_block,
-        obs_block,
-        timeline_block,
-        hybrid_block,
-    )
-}
-
-fn main() {
+fn main() -> ExitCode {
     // Criterion-style flag noise (`--bench`) is ignored; only --threads
     // matters here.
     let args: Vec<String> = std::env::args().collect();
@@ -495,9 +324,8 @@ fn main() {
     // Partitioned engine: the same locality-mix workload at widths 1, 2,
     // 8. Outputs must not move by a byte; only the wall clock may.
     let four_dc = four_dc_topo(fast_mode());
-    let mut partitioned = Vec::new();
+    let mut widths = Vec::new();
     let mut golden: Option<String> = None;
-    let mut partitions = 0;
     for width in [1usize, 2, 8] {
         let (pw, out) = bench_partitioned(&four_dc, width, fast_mode());
         match &golden {
@@ -507,17 +335,19 @@ fn main() {
         println!(
             "partitioned width {}: {:.0} events/s ({} events / {:.2}s), {} barriers, \
              {} steals, barrier util {:.2}",
-            pw.threads,
-            pw.rate(),
-            pw.events,
-            pw.secs,
-            pw.barriers,
-            pw.steals,
-            pw.barrier_util,
+            pw.threads, pw.rate, pw.events, pw.secs, pw.barriers, pw.steal_count, pw.barrier_util,
         );
-        partitions = pw.partitions;
-        partitioned.push(pw);
+        widths.push(pw);
     }
+    let (w1, wn) = (&widths[0], &widths[widths.len() - 1]);
+    let partitioned = Partitioned {
+        partitions: wn.partitions,
+        cores: std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(1),
+        speedup_max_over_w1: wn.rate / w1.rate.max(1e-9),
+        widths,
+    };
 
     // Hybrid fidelity vs packet on the same bulk mix, both width 1.
     let hybrid = bench_hybrid(&four_dc, fast_mode(), if fast_mode() { 5 } else { 3 });
@@ -529,67 +359,72 @@ fn main() {
         hybrid.hybrid_events,
         hybrid.hybrid_secs,
         hybrid.flows_fast,
-        hybrid.wall_speedup(),
-        hybrid.equiv_events_sec(),
-    );
-    assert!(
-        hybrid.wall_speedup() >= 5.0,
-        "hybrid fast path must cover the bulk workload at least 5x faster than packet \
-         (measured {:.2}x)",
-        hybrid.wall_speedup(),
+        hybrid.wall_speedup_over_packet,
+        hybrid.equiv_events_sec,
     );
 
     // Flight-recorder overhead on the serial engine, off vs summary
     // with the streaming timeline on.
     let rounds = if fast_mode() { 5 } else { 3 };
-    let (obs_off, obs_summary, timeline) = bench_obs_overhead(scale, sim_secs, rounds);
+    let (obs, obs_timeline) = bench_obs_overhead(scale, sim_secs, rounds);
     println!(
         "obs overhead: off {:.0} events/s, summary+timeline {:.0} events/s ({:+.2}%); \
          timeline {} snapshots, {:.1}us/snapshot, {:.0} bytes/min",
-        obs_off,
-        obs_summary,
-        (obs_off - obs_summary) / obs_off.max(1e-9) * 100.0,
-        timeline.snapshots,
-        timeline.snapshot_us,
-        timeline.bytes_per_min,
+        obs.off_events_sec,
+        obs.summary_events_sec,
+        obs.overhead_pct,
+        obs_timeline.snapshots,
+        obs_timeline.snapshot_us,
+        obs_timeline.bytes_per_min,
     );
 
     let (fleet_records, fleet_generate_secs, analysis_secs) = bench_fleet(&fleet_cfg, threads);
-    let m = Measurement {
+    let bench = Bench {
+        schema: ledger::SCHEMA,
+        threads: resolved,
+        fast: fast_mode(),
         engine_events,
         engine_secs,
+        events_per_sec: per_sec(engine_events, engine_secs),
         fleet_records,
         fleet_generate_secs,
+        fleet_records_per_sec: per_sec(fleet_records, fleet_generate_secs),
         analysis_secs,
+        scenario_wall_secs: fleet_generate_secs + analysis_secs,
+        partitioned,
+        obs,
+        obs_timeline,
+        hybrid,
     };
-
     println!(
         "threads {}: engine {:.0} events/s ({} events / {:.2}s), fleet {:.0} records/s \
          ({} records / {:.2}s), analysis {:.2}s, scenario wall {:.2}s",
-        resolved,
-        m.events_per_sec(),
-        m.engine_events,
-        m.engine_secs,
-        m.records_per_sec(),
-        m.fleet_records,
-        m.fleet_generate_secs,
-        m.analysis_secs,
-        m.scenario_wall_secs(),
+        bench.threads,
+        bench.events_per_sec,
+        bench.engine_events,
+        bench.engine_secs,
+        bench.fleet_records_per_sec,
+        bench.fleet_records,
+        bench.fleet_generate_secs,
+        bench.analysis_secs,
+        bench.scenario_wall_secs,
     );
 
     let out = std::env::var("SONET_BENCH_OUT").unwrap_or_else(|_| "BENCH.json".to_string());
-    std::fs::write(
-        &out,
-        json(
-            &m,
-            resolved,
-            &partitioned,
-            partitions,
-            (obs_off, obs_summary),
-            &timeline,
-            &hybrid,
-        ),
-    )
-    .expect("write BENCH.json");
+    let text = serde_json::to_string_pretty(&bench).expect("serialize BENCH.json");
+    std::fs::write(&out, text + "\n").expect("write BENCH.json");
     println!("wrote {out}");
+
+    let baseline: Bench =
+        serde_json::from_str(ledger::BASELINE).expect("parse BENCH-baseline.json");
+    let mut failed = false;
+    for gate in ledger::gates(&bench, &baseline) {
+        println!("{gate}");
+        failed |= gate.verdict == ledger::Verdict::Fail;
+    }
+    if failed {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
 }

@@ -1,0 +1,432 @@
+//! The `BENCH.json` ledger and the gates that judge it.
+//!
+//! This module is the only code that knows the ledger's format: the
+//! throughput bench fills a [`Bench`], writes it with `serde_json`, reads
+//! the committed `crates/bench/BENCH-baseline.json` back into the same
+//! struct and runs [`gates`] on the pair. Field names are the JSON keys.
+
+use serde::{Deserialize, Serialize};
+use std::fmt;
+
+/// Ledger format version, written as `"schema"`.
+pub const SCHEMA: u32 = 6;
+
+/// The committed baseline ledger (`crates/bench/BENCH-baseline.json`)
+/// that the two floors compare against.
+pub const BASELINE: &str = include_str!("../BENCH-baseline.json");
+
+/// One throughput-bench run.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Bench {
+    /// Always [`SCHEMA`].
+    pub schema: u32,
+    /// Resolved worker-pool width of the run.
+    pub threads: usize,
+    /// True for a `SONET_BENCH_FAST=1` (tiny-plant) run.
+    pub fast: bool,
+    /// Calendar events of the serial packet-tier leg (workload
+    /// generation and engine drain timed together).
+    pub engine_events: u64,
+    /// Wall seconds of that leg.
+    pub engine_secs: f64,
+    /// `engine_events / engine_secs`.
+    pub events_per_sec: f64,
+    /// Fleet-tier rows generated and tagged.
+    pub fleet_records: u64,
+    /// Wall seconds of fleet generation and tagging.
+    pub fleet_generate_secs: f64,
+    /// `fleet_records / fleet_generate_secs`.
+    pub fleet_records_per_sec: f64,
+    /// Wall seconds of Table 3 and Fig 5 on the fleet table.
+    pub analysis_secs: f64,
+    /// `fleet_generate_secs + analysis_secs`.
+    pub scenario_wall_secs: f64,
+    /// The partitioned engine on the four-datacenter plant.
+    pub partitioned: Partitioned,
+    /// Flight-recorder overhead.
+    pub obs: Obs,
+    /// Streaming-timeline cost inside the `--obs summary` leg.
+    pub obs_timeline: ObsTimeline,
+    /// Hybrid fast path against the packet engine.
+    pub hybrid: Hybrid,
+}
+
+/// The partitioned engine at widths 1, 2 and 8 on the same workload.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Partitioned {
+    /// Partition count: one per datacenter.
+    pub partitions: usize,
+    /// `std::thread::available_parallelism` of the bench process.
+    pub cores: usize,
+    /// One entry per width, narrowest first.
+    pub widths: Vec<PartWidth>,
+    /// Widest width's `rate` over width 1's.
+    pub speedup_max_over_w1: f64,
+}
+
+/// One width's partitioned-engine measurement.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct PartWidth {
+    /// Worker-pool width.
+    pub threads: usize,
+    /// Calendar events processed.
+    pub events: u64,
+    /// Wall seconds of the `run_until` drain.
+    pub secs: f64,
+    /// `events / secs`.
+    pub rate: f64,
+    /// Window barriers crossed.
+    pub barriers: u64,
+    /// Partition calendars stolen off another worker's deque.
+    pub steal_count: u64,
+    /// Partition count: one per datacenter.
+    pub partitions: usize,
+    /// Measured worker utilization: wall time the pool's workers spent
+    /// draining calendars divided by (width × the pool's elapsed wall
+    /// time across all windows). 1.0 = no idle gaps; low values mean
+    /// workers starved waiting at barriers.
+    pub barrier_util: f64,
+}
+
+/// Serial engine rate with the flight recorder off and at `--obs
+/// summary`, best of N interleaved rounds in one process.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Obs {
+    /// Events/sec with the recorder off.
+    pub off_events_sec: f64,
+    /// Events/sec at `--obs summary` with the timeline streaming.
+    pub summary_events_sec: f64,
+    /// `(off - summary) / off × 100`; negative is noise.
+    pub overhead_pct: f64,
+}
+
+/// The streaming timeline at the benched 250 ms sim interval.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct ObsTimeline {
+    /// Snapshots written (windows + final).
+    pub snapshots: u64,
+    /// Mean wall microseconds per snapshot (registry drain + diff +
+    /// framed append).
+    pub snapshot_us: f64,
+    /// Artifact growth, bytes per wall-clock minute.
+    pub bytes_per_min: f64,
+}
+
+/// Packet vs hybrid fidelity on the same bulk workload, both at width 1.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Hybrid {
+    /// Calendar events of the packet run.
+    pub packet_events: u64,
+    /// Best-of-N wall seconds of the packet run.
+    pub packet_secs: f64,
+    /// Calendar events of the hybrid run.
+    pub hybrid_events: u64,
+    /// Best-of-N wall seconds of the hybrid run.
+    pub hybrid_secs: f64,
+    /// Requests completed (equal in both runs).
+    pub completed_requests: u64,
+    /// Flows the hybrid run retired on the fast path.
+    pub flows_fast: u64,
+    /// Packet-equivalent throughput: `packet_events / hybrid_secs`.
+    pub equiv_events_sec: f64,
+    /// `packet_secs / hybrid_secs`: raw events/sec is meaningless across
+    /// fidelity modes, so the gate compares wall time over identical
+    /// traffic.
+    pub wall_speedup_over_packet: f64,
+}
+
+/// A gate's outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// The bound holds.
+    Ok,
+    /// The bound does not apply to this run; the line says why.
+    Skip,
+    /// The bound is broken.
+    Fail,
+}
+
+/// One checked bound, printed as one line.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Gate {
+    /// What the gate checks.
+    pub name: &'static str,
+    /// Its outcome.
+    pub verdict: Verdict,
+    /// The numbers behind the verdict.
+    pub detail: String,
+}
+
+impl fmt::Display for Gate {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let verdict = match self.verdict {
+            Verdict::Ok => "OK",
+            Verdict::Skip => "SKIP",
+            Verdict::Fail => "FAIL",
+        };
+        write!(f, "{verdict}: {}: {}", self.name, self.detail)
+    }
+}
+
+fn check(name: &'static str, pass: bool, detail: String) -> Gate {
+    let verdict = if pass { Verdict::Ok } else { Verdict::Fail };
+    Gate {
+        name,
+        verdict,
+        detail,
+    }
+}
+
+/// Width 1's partitioned rate; a missing leg reads as 0 and fails its
+/// floor.
+fn w1_rate(b: &Bench) -> f64 {
+    let w1 = b.partitioned.widths.iter().find(|w| w.threads == 1);
+    w1.map_or(0.0, |w| w.rate)
+}
+
+/// Checks `current` against the six bounds, two of them relative to
+/// `baseline`, in a fixed order.
+///
+/// The baseline floors only compare like with like: when the run's
+/// `fast` or `threads` differ from the baseline's they SKIP. The width-8
+/// speedup needs real cores under the workers and SKIPs below 4. The
+/// overhead and hybrid gates compare sibling runs inside one process, so
+/// they hold on any machine.
+pub fn gates(current: &Bench, baseline: &Bench) -> Vec<Gate> {
+    let same_mode = current.fast == baseline.fast && current.threads == baseline.threads;
+    let floor = |name: &'static str, c: f64, b: f64| {
+        if !same_mode {
+            return Gate {
+                name,
+                verdict: Verdict::Skip,
+                detail: format!(
+                    "run is fast={} threads={}, baseline is fast={} threads={}; \
+                     measured {c:.0} (informational)",
+                    current.fast, current.threads, baseline.fast, baseline.threads,
+                ),
+            };
+        }
+        let min = 0.7 * b;
+        check(
+            name,
+            c >= min,
+            format!("{c:.0} against floor {min:.0} (0.7 x baseline {b:.0})"),
+        )
+    };
+    let cores = current.partitioned.cores;
+    let speedup = current.partitioned.speedup_max_over_w1;
+    let width8 = if cores < 4 {
+        Gate {
+            name: "width-8 speedup",
+            verdict: Verdict::Skip,
+            detail: format!("needs >=4 cores, ran on {cores}; measured {speedup:.2}x"),
+        }
+    } else {
+        check(
+            "width-8 speedup",
+            speedup >= 1.5,
+            format!("{speedup:.2}x (min 1.5x) on {cores} cores"),
+        )
+    };
+    let (o, t, h) = (&current.obs, &current.obs_timeline, &current.hybrid);
+    vec![
+        floor(
+            "events_per_sec",
+            current.events_per_sec,
+            baseline.events_per_sec,
+        ),
+        floor("partitioned w1 rate", w1_rate(current), w1_rate(baseline)),
+        width8,
+        check(
+            "obs summary overhead",
+            o.overhead_pct <= 2.0,
+            format!("{:.2}% (budget 2%)", o.overhead_pct),
+        ),
+        check(
+            "timeline snapshots",
+            t.snapshots >= 3 && t.snapshot_us > 0.0,
+            format!(
+                "{} snapshots (min 3) at {:.1}us (must be > 0)",
+                t.snapshots, t.snapshot_us
+            ),
+        ),
+        check(
+            "hybrid fast path",
+            h.flows_fast >= 1 && h.wall_speedup_over_packet >= 5.0,
+            format!(
+                "{} flows fast (min 1), {:.2}x over packet (min 5x)",
+                h.flows_fast, h.wall_speedup_over_packet
+            ),
+        ),
+    ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde::Content;
+    use std::collections::BTreeSet;
+
+    const ROOT_BENCH: &str = include_str!("../../../BENCH.json");
+
+    fn baseline() -> Bench {
+        serde_json::from_str(BASELINE).expect("baseline parses")
+    }
+
+    /// Every key path of a JSON tree, array elements folded into `[]`.
+    fn key_paths(c: &Content, prefix: &str, out: &mut BTreeSet<String>) {
+        match c {
+            Content::Map(entries) => {
+                for (k, v) in entries {
+                    let path = format!("{prefix}.{}", k.as_str().expect("string key"));
+                    out.insert(path.clone());
+                    key_paths(v, &path, out);
+                }
+            }
+            Content::Seq(items) => {
+                for v in items {
+                    key_paths(v, &format!("{prefix}[]"), out);
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn paths_of(json: &str) -> BTreeSet<String> {
+        let v: serde_json::Value = serde_json::from_str(json).expect("valid JSON");
+        let mut out = BTreeSet::new();
+        key_paths(&v.0, "", &mut out);
+        out
+    }
+
+    #[test]
+    fn committed_ledgers_parse_with_exactly_the_struct_keys() {
+        for (name, text) in [("baseline", BASELINE), ("BENCH.json", ROOT_BENCH)] {
+            let b: Bench = serde_json::from_str(text).unwrap_or_else(|e| panic!("{name}: {e}"));
+            assert_eq!(b.schema, SCHEMA, "{name}");
+            let written = serde_json::to_string_pretty(&b).expect("serialize");
+            assert_eq!(paths_of(text), paths_of(&written), "{name}: key drift");
+        }
+    }
+
+    #[test]
+    fn ledger_round_trips() {
+        let mut b = baseline();
+        b.events_per_sec = 1234567.891_234_5;
+        b.partitioned.speedup_max_over_w1 = 1.0 / 3.0;
+        let text = serde_json::to_string_pretty(&b).expect("serialize");
+        assert_eq!(serde_json::from_str::<Bench>(&text).expect("parse"), b);
+    }
+
+    fn verdict(current: &Bench, name: &str) -> Verdict {
+        let gates = gates(current, &baseline());
+        assert_eq!(gates.len(), 6);
+        gates
+            .into_iter()
+            .find(|g| g.name == name)
+            .unwrap_or_else(|| panic!("no gate {name}"))
+            .verdict
+    }
+
+    /// The baseline judged against itself on a 4-core machine passes
+    /// every gate; each case below breaks exactly one field.
+    fn good() -> Bench {
+        let mut b = baseline();
+        b.partitioned.cores = 4;
+        b.partitioned.speedup_max_over_w1 = 2.0;
+        b
+    }
+
+    #[test]
+    fn good_ledger_passes_every_gate() {
+        for g in gates(&good(), &baseline()) {
+            assert_eq!(g.verdict, Verdict::Ok, "{g}");
+        }
+    }
+
+    #[test]
+    fn events_per_sec_floor_is_seventy_percent_of_baseline() {
+        let min = 0.7 * baseline().events_per_sec;
+        let mut b = good();
+        b.events_per_sec = min;
+        assert_eq!(verdict(&b, "events_per_sec"), Verdict::Ok);
+        b.events_per_sec = min * (1.0 - 1e-9);
+        assert_eq!(verdict(&b, "events_per_sec"), Verdict::Fail);
+    }
+
+    #[test]
+    fn partitioned_w1_floor_is_seventy_percent_of_baseline() {
+        let min = 0.7 * w1_rate(&baseline());
+        let mut b = good();
+        assert_eq!(b.partitioned.widths[0].threads, 1);
+        b.partitioned.widths[0].rate = min;
+        assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Ok);
+        b.partitioned.widths[0].rate = min * (1.0 - 1e-9);
+        assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Fail);
+        b.partitioned.widths.retain(|w| w.threads != 1);
+        assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Fail);
+    }
+
+    #[test]
+    fn width8_speedup_needs_one_and_a_half_on_four_cores() {
+        let mut b = good();
+        b.partitioned.speedup_max_over_w1 = 1.5;
+        assert_eq!(verdict(&b, "width-8 speedup"), Verdict::Ok);
+        b.partitioned.speedup_max_over_w1 = 1.499;
+        assert_eq!(verdict(&b, "width-8 speedup"), Verdict::Fail);
+        b.partitioned.cores = 3;
+        assert_eq!(verdict(&b, "width-8 speedup"), Verdict::Skip);
+    }
+
+    #[test]
+    fn obs_overhead_budget_is_two_percent() {
+        let mut b = good();
+        b.obs.overhead_pct = 2.0;
+        assert_eq!(verdict(&b, "obs summary overhead"), Verdict::Ok);
+        b.obs.overhead_pct = 2.001;
+        assert_eq!(verdict(&b, "obs summary overhead"), Verdict::Fail);
+    }
+
+    #[test]
+    fn timeline_needs_three_snapshots_of_positive_cost() {
+        let mut b = good();
+        b.obs_timeline.snapshots = 3;
+        b.obs_timeline.snapshot_us = 0.001;
+        assert_eq!(verdict(&b, "timeline snapshots"), Verdict::Ok);
+        b.obs_timeline.snapshots = 2;
+        assert_eq!(verdict(&b, "timeline snapshots"), Verdict::Fail);
+        b.obs_timeline.snapshots = 3;
+        b.obs_timeline.snapshot_us = 0.0;
+        assert_eq!(verdict(&b, "timeline snapshots"), Verdict::Fail);
+    }
+
+    #[test]
+    fn hybrid_needs_a_fast_flow_and_five_times_packet() {
+        let mut b = good();
+        b.hybrid.flows_fast = 1;
+        b.hybrid.wall_speedup_over_packet = 5.0;
+        assert_eq!(verdict(&b, "hybrid fast path"), Verdict::Ok);
+        b.hybrid.wall_speedup_over_packet = 4.999;
+        assert_eq!(verdict(&b, "hybrid fast path"), Verdict::Fail);
+        b.hybrid.wall_speedup_over_packet = 5.0;
+        b.hybrid.flows_fast = 0;
+        assert_eq!(verdict(&b, "hybrid fast path"), Verdict::Fail);
+    }
+
+    #[test]
+    fn baseline_floors_skip_when_mode_or_width_differ() {
+        for change in [
+            |b: &mut Bench| b.fast = !b.fast,
+            |b: &mut Bench| b.threads += 1,
+        ] {
+            let mut b = good();
+            change(&mut b);
+            // Far below either floor: only the mode check keeps it from failing.
+            b.events_per_sec = 1.0;
+            b.partitioned.widths[0].rate = 1.0;
+            assert_eq!(verdict(&b, "events_per_sec"), Verdict::Skip);
+            assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Skip);
+            assert_eq!(verdict(&b, "obs summary overhead"), Verdict::Ok);
+        }
+    }
+}

@@ -10,6 +10,8 @@
 
 use sonet_core::{Lab, LabConfig};
 
+pub mod ledger;
+
 /// Seed used by the whole harness, so bench output is reproducible.
 pub const BENCH_SEED: u64 = 42;
 

@@ -104,182 +104,6 @@ where
         .collect()
 }
 
-/// Runs a phased (bulk-synchronous) computation over a fixed set of
-/// per-worker states on a **persistent** pool.
-///
-/// `plan` runs on the caller's thread with exclusive access to every
-/// state — it merges cross-state results from the previous phase and
-/// sets up the next one — and returns `false` to stop. `work(i, &mut
-/// states[i])` then runs for every state, in parallel, with dynamic
-/// claiming (an atomic cursor hands each index to exactly one worker).
-/// The next `plan` call does not start until every `work` call of the
-/// phase has returned, so `plan` always observes a quiescent barrier.
-///
-/// Unlike [`map_indexed`], the worker threads are spawned **once** and
-/// reused for every phase; a simulation that synchronizes thousands of
-/// times per run pays the spawn cost once, and each barrier is a
-/// condvar round-trip. Determinism is inherited from the structure:
-/// state `i` is only ever mutated by the single claimant of index `i`
-/// within a phase and by `plan` between phases, so the thread count
-/// never changes what any state observes.
-///
-/// With `threads <= 1` (or a single state) no threads are spawned and
-/// the phases run inline, in index order — the serial path is serial.
-/// `plan` is called once before the first phase (use it for setup) and
-/// its `false` return is the only exit. If `work` panics, the payload
-/// is re-raised on the caller's thread and the states are dropped.
-pub fn run_phased<S, P, W>(threads: usize, mut states: Vec<S>, mut plan: P, work: W) -> Vec<S>
-where
-    S: Send,
-    P: FnMut(&mut [S]) -> bool,
-    W: Fn(usize, &mut S) + Sync,
-{
-    let n = states.len();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 {
-        loop {
-            if !plan(&mut states) {
-                return states;
-            }
-            for (i, s) in states.iter_mut().enumerate() {
-                work(i, s);
-            }
-        }
-    }
-
-    struct Ctrl {
-        /// Bumped by the coordinator to release workers into a phase.
-        phase: u64,
-        /// States not yet finished in the current phase.
-        pending: usize,
-        /// Set when the run is over (normally or by a worker panic).
-        stop: bool,
-    }
-    let ctrl = Mutex::new(Ctrl {
-        phase: 0,
-        pending: 0,
-        stop: false,
-    });
-    let to_workers = std::sync::Condvar::new();
-    let to_coord = std::sync::Condvar::new();
-    let mut slots: Vec<Mutex<Option<S>>> = Vec::with_capacity(n);
-    slots.resize_with(n, || Mutex::new(None));
-    let cursor = AtomicUsize::new(0);
-    let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
-
-    let (ctrl, to_workers, to_coord) = (&ctrl, &to_workers, &to_coord);
-    let (slots_ref, cursor, panic_payload) = (&slots, &cursor, &panic_payload);
-    let work = &work;
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(move || {
-                let mut seen = 0u64;
-                loop {
-                    {
-                        let mut c = ctrl.lock().expect("ctrl lock never poisons");
-                        while c.phase == seen && !c.stop {
-                            c = to_workers.wait(c).expect("ctrl lock never poisons");
-                        }
-                        if c.stop {
-                            return;
-                        }
-                        seen = c.phase;
-                    }
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // The whole claim is inside the catch: a panic
-                        // anywhere (the work itself, a poisoned slot, a
-                        // double claim) must reach the stop path below —
-                        // a worker dying silently would strand everyone
-                        // else on the barrier condvars forever.
-                        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let mut slot = slots_ref[i].lock().expect("slot lock never poisons");
-                            let mut s = slot.take().expect("cursor hands each slot out once");
-                            work(i, &mut s);
-                            *slot = Some(s);
-                        }));
-                        let mut c = ctrl.lock().expect("ctrl lock never poisons");
-                        if let Err(payload) = r {
-                            let mut p = panic_payload.lock().expect("panic slot");
-                            if p.is_none() {
-                                *p = Some(payload);
-                            }
-                            c.stop = true;
-                            c.pending = 0;
-                            to_workers.notify_all();
-                            to_coord.notify_all();
-                            return;
-                        }
-                        c.pending -= 1;
-                        if c.pending == 0 {
-                            to_coord.notify_all();
-                        }
-                    }
-                }
-            });
-        }
-
-        // Coordinator: alternate plan (exclusive access) with released
-        // phases until plan declines or a worker panics. A panic *in
-        // plan* is caught and converted into the normal stop path first:
-        // unwinding out of the scope with workers parked on the condvar
-        // would deadlock the join.
-        loop {
-            let cont = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| plan(&mut states)))
-                .unwrap_or_else(|payload| {
-                    let mut p = panic_payload.lock().expect("panic slot");
-                    if p.is_none() {
-                        *p = Some(payload);
-                    }
-                    false
-                });
-            if !cont {
-                let mut c = ctrl.lock().expect("ctrl lock never poisons");
-                c.stop = true;
-                to_workers.notify_all();
-                break;
-            }
-            for (slot, s) in slots_ref.iter().zip(states.drain(..)) {
-                *slot.lock().expect("slot lock never poisons") = Some(s);
-            }
-            cursor.store(0, Ordering::Relaxed);
-            {
-                let mut c = ctrl.lock().expect("ctrl lock never poisons");
-                c.pending = n;
-                c.phase += 1;
-                to_workers.notify_all();
-                while c.pending > 0 {
-                    c = to_coord.wait(c).expect("ctrl lock never poisons");
-                }
-                if c.stop {
-                    break;
-                }
-            }
-            for slot in slots_ref.iter() {
-                let s = slot
-                    .lock()
-                    .expect("slot lock never poisons")
-                    .take()
-                    .expect("phase barrier returned every state");
-                states.push(s);
-            }
-        }
-    });
-
-    if let Some(payload) = panic_payload
-        .lock()
-        .expect("panic slot lock never poisons")
-        .take()
-    {
-        std::panic::resume_unwind(payload);
-    }
-    states
-}
-
 /// Timing and steal counters for one completed phase of
 /// [`run_phased_stealing`], filled in by the pool before each `plan`
 /// call. Purely observational: nothing in here feeds back into what any
@@ -338,24 +162,34 @@ fn seed_queues(threads: usize, weights: &[u64]) -> Vec<Vec<usize>> {
     queues
 }
 
-/// [`run_phased`] with work stealing inside each phase.
+/// Runs a phased (bulk-synchronous) computation over a fixed set of
+/// states on a **persistent**, work-stealing pool.
+///
+/// `plan` runs on the caller's thread with exclusive access to every
+/// state and the completed phase's [`PhaseStats`] — it merges
+/// cross-state results from the previous phase and sets up the next
+/// one — and returns `false` to stop. `work(i, &mut states[i])` then
+/// runs for every state, in parallel. The next `plan` call does not
+/// start until every `work` call of the phase has returned, so `plan`
+/// always observes a quiescent barrier. `plan` is called once before
+/// the first phase (use it for setup) and its `false` return is the
+/// only exit. The workers are spawned once and reused for every phase;
+/// each barrier is a condvar round-trip.
 ///
 /// Between phases the coordinator seeds one queue per worker from
 /// `ctl.weights` (heaviest states first, greedy LPT). During a phase
 /// each worker drains its own queue front-first; a worker whose queue
 /// runs dry scans the others round-robin from its right-hand neighbour
 /// and steals from the *back* (the victim's lightest remaining states),
-/// so a skewed window no longer serializes behind one worker.
+/// so a skewed window does not serialize behind one worker.
 ///
-/// Determinism is inherited from the same structure as [`run_phased`]:
-/// every state is claimed by exactly one worker per phase and mutated
-/// only through `work(i, &mut states[i])`, so *which* thread runs a
-/// state can never change what the state computes — stealing reorders
-/// execution, never results. `plan` runs on the caller's thread between
-/// phases with exclusive access to all states and the completed phase's
-/// [`PhaseStats`]; it returns `false` to stop. With `threads <= 1` the
-/// phases run inline in index order and only `slot_busy_ns`, `busy_ns`
-/// and `wall_ns` are meaningful.
+/// Every state is claimed by exactly one worker per phase and mutated
+/// only through `work(i, &mut states[i])` and by `plan` between phases,
+/// so *which* thread runs a state can never change what the state
+/// computes — stealing reorders execution, never results. With
+/// `threads <= 1` the phases run inline in index order and only
+/// `slot_busy_ns`, `busy_ns` and `wall_ns` are meaningful. A panic in
+/// `work` or `plan` is re-raised on the caller's thread.
 pub fn run_phased_stealing<S, P, W>(
     threads: usize,
     mut states: Vec<S>,
@@ -695,87 +529,41 @@ mod tests {
     }
 
     #[test]
-    fn run_phased_matches_serial_at_any_width() {
-        // Each phase adds phase*(i+1) to state i; plan also folds the
-        // running cross-state sum into state 0, exercising the
-        // exclusive access the coordinator gets between phases.
-        let run = |threads: usize| -> Vec<u64> {
-            let mut phase = 0u64;
-            run_phased(
+    fn run_phased_stealing_zero_phases_returns_states_untouched() {
+        for threads in [1, 4] {
+            let out = run_phased_stealing(
                 threads,
-                vec![0u64; 5],
-                |states| {
-                    if phase > 0 {
-                        let total: u64 = states.iter().sum();
-                        states[0] += total % 7;
-                    }
-                    phase += 1;
-                    phase <= 10
-                },
-                |i, s| {
-                    *s += (i as u64 + 1) * 3;
-                },
-            )
-        };
-        let want = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), want, "threads={threads}");
+                vec![9u8, 8, 7],
+                |_, _| false,
+                |_, _| unreachable!(),
+            );
+            assert_eq!(out, vec![9, 8, 7], "threads={threads}");
         }
     }
 
     #[test]
-    fn run_phased_plan_sees_quiescent_barrier() {
-        // Every phase doubles each state; plan asserts all states moved
-        // in lockstep, which fails if any work call leaks past a
-        // barrier.
-        let mut rounds = 0;
-        let out = run_phased(
-            4,
-            vec![1u64; 8],
-            |states| {
-                let first = states[0];
-                assert!(states.iter().all(|&s| s == first), "lockstep: {states:?}");
-                rounds += 1;
-                rounds <= 6
-            },
-            |_, s| *s *= 2,
-        );
-        assert_eq!(out, vec![64u64; 8]);
-    }
-
-    #[test]
-    fn run_phased_zero_phases_returns_states_untouched() {
-        let out = run_phased(4, vec![9u8, 8, 7], |_| false, |_, _| unreachable!());
-        assert_eq!(out, vec![9, 8, 7]);
-    }
-
-    #[test]
-    fn run_phased_worker_panics_propagate() {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut phase = 0;
-            run_phased(
-                3,
-                vec![0u32; 6],
-                |_| {
-                    phase += 1;
-                    phase <= 3
-                },
-                |i, s| {
-                    if *s == 2 && i == 4 {
-                        panic!("phase worker exploded");
+    fn run_phased_stealing_plan_sees_quiescent_barrier() {
+        // Every phase doubles each state under skewed weights; plan
+        // asserts all states moved in lockstep, which fails if any work
+        // call (stolen or not) leaks past a barrier.
+        for threads in [1, 2, 4] {
+            let mut rounds = 0u64;
+            let out = run_phased_stealing(
+                threads,
+                vec![1u64; 8],
+                |states, ctl| {
+                    let first = states[0];
+                    assert!(states.iter().all(|&s| s == first), "lockstep: {states:?}");
+                    for (i, w) in ctl.weights.iter_mut().enumerate() {
+                        *w = (rounds * 7 + i as u64 * 3) % 5 + 1;
                     }
-                    *s += 1;
+                    rounds += 1;
+                    rounds <= 6
                 },
-            )
-        }));
-        let payload = caught.expect_err("panic must cross the pool");
-        let msg = payload
-            .downcast_ref::<&str>()
-            .copied()
-            .map(str::to_owned)
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("phase worker"), "payload: {msg}");
+                |_, s| *s *= 2,
+            );
+            assert_eq!(out, vec![64u64; 8], "threads={threads}");
+        }
     }
 
     #[test]
@@ -796,9 +584,10 @@ mod tests {
 
     #[test]
     fn run_phased_stealing_matches_serial_at_any_width() {
-        // Same shape as the run_phased test, with per-phase weight churn
-        // thrown in: weights may reshuffle who runs what, never what any
-        // state computes.
+        // Each phase adds 3*(i+1) to state i; plan folds the running
+        // cross-state sum into state 0 (the exclusive access it gets
+        // between phases) and churns the weights: weights may reshuffle
+        // who runs what, never what any state computes.
         let run = |threads: usize| -> Vec<u64> {
             let mut phase = 0u64;
             run_phased_stealing(
@@ -914,26 +703,6 @@ mod tests {
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
         assert!(msg.contains("plan exploded"), "payload: {msg}");
-    }
-
-    #[test]
-    fn run_phased_plan_panics_propagate() {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut phase = 0;
-            run_phased(
-                3,
-                vec![0u32; 6],
-                |_| {
-                    phase += 1;
-                    if phase == 2 {
-                        panic!("plan exploded");
-                    }
-                    true
-                },
-                |_, s| *s += 1,
-            )
-        }));
-        assert!(caught.is_err(), "plan panic must cross the pool");
     }
 
     #[test]

@@ -99,7 +99,7 @@ struct SuperviseFlags {
     chunk_hosts: Option<u32>,
 }
 
-fn parse_common(args: &[String]) -> Options {
+fn parse_common(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         seed: 42,
         fast: false,
@@ -108,17 +108,22 @@ fn parse_common(args: &[String]) -> Options {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        let mut value = |name: &str| -> Result<&String, String> {
+            it.next().ok_or_else(|| format!("{name} needs a value"))
+        };
         match a.as_str() {
             "--seed" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    opts.seed = v;
-                }
+                opts.seed = value("--seed")?
+                    .parse()
+                    .map_err(|e| format!("--seed: {e}"))?
             }
             "--fast" => opts.fast = true,
             "--threads" => {
-                if let Some(v) = it.next().and_then(|s| s.parse().ok()) {
-                    opts.threads = Some(v);
-                }
+                opts.threads = Some(
+                    value("--threads")?
+                        .parse()
+                        .map_err(|e| format!("--threads: {e}"))?,
+                )
             }
             "--fidelity" => match it.next().map(String::as_str).and_then(FidelityMode::parse) {
                 Some(m) => opts.fidelity = m,
@@ -141,7 +146,7 @@ fn parse_common(args: &[String]) -> Options {
     if let Some(n) = opts.threads {
         par::set_threads(n);
     }
-    opts
+    Ok(opts)
 }
 
 /// Flight-recorder flags, valid on every subcommand.
@@ -428,7 +433,13 @@ fn render_report(
 /// are identical for any `--threads` value: renders are collected per
 /// experiment and printed in `EXPERIMENTS` order.
 fn cmd_all(args: &[String]) -> ExitCode {
-    let opts = parse_common(args);
+    let opts = match parse_common(args) {
+        Ok(o) => o,
+        Err(e) => {
+            report::line(&e);
+            return ExitCode::FAILURE;
+        }
+    };
     let budget = match parse_supervise(args) {
         Ok(f) => f.budget,
         Err(e) => {
@@ -607,7 +618,13 @@ fn cmd_chaos_replay(path: &std::path::Path) -> ExitCode {
 /// are results, written to the report); only infrastructure failures
 /// exit nonzero.
 fn cmd_chaos(args: &[String]) -> ExitCode {
-    let opts = parse_common(args);
+    let opts = match parse_common(args) {
+        Ok(o) => o,
+        Err(e) => {
+            report::line(&e);
+            return ExitCode::FAILURE;
+        }
+    };
     let flags = match parse_chaos(args) {
         Ok(f) => f,
         Err(e) => {
@@ -681,7 +698,13 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
 }
 
 fn cmd_capture(args: &[String]) -> ExitCode {
-    let opts = parse_common(args);
+    let opts = match parse_common(args) {
+        Ok(o) => o,
+        Err(e) => {
+            report::line(&e);
+            return ExitCode::FAILURE;
+        }
+    };
     let flags = match parse_supervise(args) {
         Ok(f) => f,
         Err(e) => {
@@ -731,7 +754,13 @@ fn cmd_capture(args: &[String]) -> ExitCode {
 }
 
 fn cmd_fleet(args: &[String]) -> ExitCode {
-    let opts = parse_common(args);
+    let opts = match parse_common(args) {
+        Ok(o) => o,
+        Err(e) => {
+            report::line(&e);
+            return ExitCode::FAILURE;
+        }
+    };
     let flags = match parse_supervise(args) {
         Ok(f) => f,
         Err(e) => {
@@ -792,7 +821,13 @@ fn cmd_run(args: &[String]) -> ExitCode {
         report::line(&format!("unknown experiment '{id}' (try `sonet list`)"));
         return ExitCode::FAILURE;
     }
-    let opts = parse_common(&args[1..]);
+    let opts = match parse_common(&args[1..]) {
+        Ok(o) => o,
+        Err(e) => {
+            report::line(&e);
+            return ExitCode::FAILURE;
+        }
+    };
     let runinfo = cli_runinfo(&format!("run {id}"), &opts);
     cli_timeline();
     let cfg = lab_config(&opts);
@@ -998,7 +1033,13 @@ fn dispatch(args: &[String]) -> ExitCode {
                 report::line("usage: sonet export-fleet <out.jsonl> [--seed N] [--fast]");
                 return ExitCode::FAILURE;
             };
-            let opts = parse_common(&args[2..]);
+            let opts = match parse_common(&args[2..]) {
+                Ok(o) => o,
+                Err(e) => {
+                    report::line(&e);
+                    return ExitCode::FAILURE;
+                }
+            };
             let cfg = if opts.fast {
                 FleetRunConfig::fast(opts.seed)
             } else {
@@ -1031,7 +1072,13 @@ fn dispatch(args: &[String]) -> ExitCode {
                 report::line("usage: sonet export-matrix <out.csv> [--seed N] [--fast]");
                 return ExitCode::FAILURE;
             };
-            let opts = parse_common(&args[2..]);
+            let opts = match parse_common(&args[2..]) {
+                Ok(o) => o,
+                Err(e) => {
+                    report::line(&e);
+                    return ExitCode::FAILURE;
+                }
+            };
             let cfg = if opts.fast {
                 FleetRunConfig::fast(opts.seed)
             } else {

@@ -120,3 +120,36 @@ fn chaos_replay_rejects_missing_and_malformed_files() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A `--seed` or `--threads` value that does not parse must stop the run
+/// with a nonzero exit naming the flag, before any work starts — not
+/// silently fall back to the default seed or width.
+#[test]
+fn unparseable_seed_or_threads_exits_nonzero_naming_the_flag() {
+    let dir = scratch_dir("bad-flags");
+    for (args, flag) in [
+        (&["capture", "--fast", "--seed", "0x7"][..], "--seed"),
+        (&["fleet", "--fast", "--threads", "two"][..], "--threads"),
+        (&["run", "table3", "--seed"][..], "--seed"),
+    ] {
+        let out = sonet()
+            .args(args)
+            .current_dir(&dir)
+            .output()
+            .expect("spawn sonet");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{args:?} must exit nonzero");
+        assert!(
+            stderr.contains(flag),
+            "{args:?}: stderr must name {flag}:\n{stderr}"
+        );
+    }
+    assert!(
+        std::fs::read_dir(&dir)
+            .expect("scratch dir")
+            .next()
+            .is_none(),
+        "a rejected flag must not leave checkpoints or RUNINFO behind"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
