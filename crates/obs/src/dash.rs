@@ -8,6 +8,7 @@
 //! terminal control (clearing, refresh cadence, TTY detection).
 
 use crate::metrics::HistogramSnapshot;
+use crate::report::{human_rate, human_secs};
 use crate::timeline::TimelineRow;
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -236,20 +237,10 @@ fn row_rates(rows: &[TimelineRow]) -> Vec<(f64, f64)> {
     out
 }
 
-/// `12.3k` / `4.56M` style count formatting.
-fn human_count(x: f64) -> String {
-    if x >= 1e6 {
-        format!("{:.2}M", x / 1e6)
-    } else if x >= 1e3 {
-        format!("{:.1}k", x / 1e3)
-    } else {
-        format!("{x:.0}")
-    }
-}
-
 /// Renders one `sonet top` frame from the rows read so far. Pure
 /// formatting — the CLI owns tailing, refresh, and screen clearing.
-pub fn render_frame(rows: &[TimelineRow], series: &RunSeries) -> String {
+pub fn render_frame(series: &RunSeries) -> String {
+    let rows = &series.rows;
     let Some(last) = rows.last() else {
         return "waiting for timeline records...\n".to_owned();
     };
@@ -287,7 +278,8 @@ pub fn render_frame(rows: &[TimelineRow], series: &RunSeries) -> String {
             "#".repeat(filled),
             "-".repeat(30 - filled),
             f * 100.0,
-            eta.map(|e| format!(" eta={e:.0}s")).unwrap_or_default(),
+            eta.map(|e| format!(" eta={}", human_secs(e)))
+                .unwrap_or_default(),
         ));
         if last.trigger == "final" {
             out.push_str("run finished\n");
@@ -300,7 +292,7 @@ pub fn render_frame(rows: &[TimelineRow], series: &RunSeries) -> String {
     if let Some(&(evs, util)) = window.last() {
         out.push_str(&format!(
             "events/sec {:>9}  {}\n",
-            human_count(evs),
+            human_rate(evs),
             sparkline(&window.iter().map(|r| r.0).collect::<Vec<_>>()),
         ));
         out.push_str(&format!(
@@ -685,10 +677,23 @@ mod tests {
             row(0, 1_000, 1_000_000, 500, 500),
             row(1, 2_000, 2_000_000, 700, 1_200),
         ]);
-        let frame = render_frame(&s.rows, &s);
+        let frame = render_frame(&s);
         assert!(frame.contains("seq=1"), "{frame}");
         assert!(frame.contains("50.0%"), "{frame}");
         assert!(frame.contains("events/sec"), "{frame}");
         assert!(frame.contains("eta="), "{frame}");
+    }
+
+    #[test]
+    fn frame_speaks_the_heartbeat_formats() {
+        // 1000 sim-ns in 126 wall seconds leaves 2000 sim-ns = 252 s;
+        // 315M events over those 126 s is 2.5M/s.
+        let s = series(vec![
+            row(0, 1_000, 1_000_000, 500, 500),
+            row(1, 2_000, 127_000_000, 315_000_000, 315_000_500),
+        ]);
+        let frame = render_frame(&s);
+        assert!(frame.contains("eta=4m12s"), "{frame}");
+        assert!(frame.contains("events/sec      2.5M"), "{frame}");
     }
 }

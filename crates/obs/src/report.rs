@@ -78,15 +78,10 @@ impl Heartbeat {
 
     /// Records progress (`events` is cumulative) and prints a line if the
     /// throttle interval has elapsed. No-op when obs is off or stderr is
-    /// not a TTY.
-    pub fn tick(&mut self, events: u64) {
-        self.tick_progress(events, None);
-    }
-
-    /// Like [`Heartbeat::tick`], with a `(done, total)` progress pair in
-    /// any unit (sim nanoseconds reached vs. horizon, hosts generated vs.
-    /// fleet size). Adds a completion percentage and an ETA extrapolated
-    /// from the observed progress rate.
+    /// not a TTY. An optional `(done, total)` pair in any unit (sim
+    /// nanoseconds reached vs. horizon, hosts generated vs. fleet size)
+    /// adds a completion percentage and an ETA extrapolated from the
+    /// observed progress rate.
     pub fn tick_progress(&mut self, events: u64, progress: Option<(u64, u64)>) {
         if !crate::on() || !self.tty {
             return;
@@ -131,8 +126,9 @@ fn progress_eta(done: u64, total: u64, elapsed_secs: f64) -> String {
     format!(" {:.1}% eta={}", f * 100.0, human_secs(eta))
 }
 
-/// `18s` / `4m12s` / `2h05m`, for ETAs.
-fn human_secs(secs: f64) -> String {
+/// `18s` / `4m12s` / `2h05m`: the one duration format for ETAs, shared
+/// by the heartbeat and the `sonet top` frame.
+pub(crate) fn human_secs(secs: f64) -> String {
     let s = secs.max(0.0).round() as u64;
     if s < 60 {
         format!("{s}s")
@@ -143,7 +139,9 @@ fn human_secs(secs: f64) -> String {
     }
 }
 
-fn human_rate(rate: f64) -> String {
+/// `12` / `82.7k` / `2.5M`: the one rate format, shared by the heartbeat
+/// and the `sonet top` frame.
+pub(crate) fn human_rate(rate: f64) -> String {
     if rate >= 1e6 {
         format!("{:.1}M", rate / 1e6)
     } else if rate >= 1e3 {

@@ -1,21 +1,11 @@
 //! `sonet` — command-line front end for the sonet-dc reproduction.
 //!
-//! ```text
-//! sonet list                         list experiment ids
-//! sonet run <id> [--seed N] [--fast] regenerate one table/figure
-//! sonet all [--seed N] [--fast]      regenerate everything (panic-isolated,
-//!                                    experiments fan over the worker pool)
-//! sonet capture [opts]               supervised packet-tier capture
-//! sonet fleet [opts]                 supervised fleet-tier run
-//! sonet chaos [opts]                 deterministic fault-injection campaign:
-//!                                    profiles × seeds, recovery SLOs, and
-//!                                    automatic fault-plan shrinking; or
-//!                                    --replay FILE to re-run a shrunk repro
-//! sonet top <run-dir>                live dashboard tailing TIMELINE.jsonl
-//! sonet diff <a> <b>                 regression table between two runs
-//! sonet export-fleet <out.jsonl>     dump a fleet-tier Fbflow day
-//! sonet export-matrix <out.csv>      dump the Fig 5 frontend rack matrix
-//! ```
+//! Run `sonet` with no arguments for the usage. It is generated from two
+//! tables, [`COMMANDS`] and [`FLAGS`], which are also the only thing
+//! [`parse`] reads: every flag row names the subcommands that read it,
+//! and a command given a flag that is unknown, or one it never reads, or
+//! a value the flag does not accept, exits 1 naming that flag before any
+//! work starts. Value flags take `--flag V` and `--flag=V` alike.
 //!
 //! Every command also takes `--obs[=off|summary|deep]` (flight-recorder
 //! level; bare `--obs` means `summary`), `--obs-interval MS` (sim time
@@ -24,12 +14,12 @@
 //! for Perfetto). Observability is strictly a side channel: no output
 //! byte of any run changes with it off, on, or deep.
 //!
-//! All run commands take `--threads N` (default: available parallelism).
-//! The worker count never changes any output byte — only wall-clock.
-//! For `capture` the flag also sets the engine's worker width: each
-//! datacenter of the plant runs its own event calendar, synchronized at
-//! conservative lookahead barriers (see DESIGN.md §10), so a multi-DC
-//! capture uses up to one worker per datacenter.
+//! `--threads N` (default: available parallelism) never changes any
+//! output byte — only wall-clock. For `capture` the flag also sets the
+//! engine's worker width: each datacenter of the plant runs its own event
+//! calendar, synchronized at conservative lookahead barriers (see
+//! DESIGN.md §10), so a multi-DC capture uses up to one worker per
+//! datacenter.
 //!
 //! Supervised runs (`capture`, `fleet`) checkpoint to `--checkpoint DIR`
 //! at regular intervals, audit engine invariants at every checkpoint
@@ -46,11 +36,12 @@ use sonet_dc::core::supervised::{
 use sonet_dc::core::supervisor::{isolate, BatchSummary, RunBudget, RunSupervisor};
 use sonet_dc::core::{CaptureConfig, FleetData, FleetRunConfig, LabConfig, StandardCapture};
 use sonet_dc::netsim::FidelityMode;
-use sonet_dc::util::obs::{self, report};
+use sonet_dc::util::obs::{self, report, ObsMode};
 use sonet_dc::util::{par, SimDuration};
 use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::str::FromStr;
 use std::time::Duration;
 
 const EXPERIMENTS: &[(&str, &str)] = &[
@@ -78,144 +69,314 @@ const EXPERIMENTS: &[(&str, &str)] = &[
 /// Exit code for a budget-stopped (resumable) supervised run.
 const EXIT_STOPPED: u8 = 2;
 
-struct Options {
-    seed: u64,
-    fast: bool,
-    /// `--threads N`: worker threads for parallel stages. `None` defers
-    /// to available parallelism. Never changes any output, only speed.
-    threads: Option<usize>,
-    /// `--fidelity packet|hybrid`: packet-level DES everywhere (default)
-    /// or the flow-level fast path outside fidelity islands.
-    fidelity: FidelityMode,
+/// Seed used when `--seed` is absent.
+const DEFAULT_SEED: u64 = 42;
+
+/// Subcommands: name, positional arguments (all required), summary.
+#[rustfmt::skip]
+const COMMANDS: &[(&str, &[&str], &str)] = &[
+    ("list", &[], "list experiment ids"),
+    ("run", &["<id>"], "regenerate one table/figure"),
+    ("all", &[], "regenerate everything (panic-isolated, over the worker pool)"),
+    ("capture", &[], "supervised packet-tier capture"),
+    ("fleet", &[], "supervised fleet-tier run"),
+    ("chaos", &[], "fault-injection campaign: profiles x seeds, SLOs, shrinking"),
+    ("top", &["<run-dir|TIMELINE.jsonl>"], "live dashboard tailing a timeline"),
+    ("diff", &["<a>", "<b>"], "regression table between two runs' artifacts"),
+    ("export-fleet", &["<out.jsonl>"], "dump a fleet-tier Fbflow day"),
+    ("export-matrix", &["<out.csv>"], "dump the Fig 5 frontend rack matrix"),
+];
+
+/// How many values a flag takes.
+#[derive(Clone, Copy)]
+enum Arity {
+    /// A bare switch.
+    Switch,
+    /// One value, `--flag V` or `--flag=V`; the text names it in the usage.
+    Value(&'static str),
+    /// `--obs`'s optional mode: `--obs=M`, or `--obs M` when the next
+    /// token names a mode, so `--obs --threads 4` is a bare `--obs`.
+    OptionalMode,
+}
+use Arity::{OptionalMode, Switch, Value};
+
+/// One row of the flag table.
+struct Flag {
+    name: &'static str,
+    arity: Arity,
+    help: &'static str,
+    /// The subcommands that read the flag; any other rejects it.
+    cmds: &'static [&'static str],
 }
 
-/// Supervision flags shared by `capture` and `fleet`.
-struct SuperviseFlags {
-    checkpoint_dir: PathBuf,
-    every_ms: Option<u64>,
-    resume: Option<PathBuf>,
-    budget: RunBudget,
-    audit: Option<bool>,
-    chunk_hosts: Option<u32>,
+// Groups of subcommands that read the same flags.
+#[rustfmt::skip]
+const EVERY: &[&str] = &[
+    "list", "run", "all", "capture", "fleet", "chaos", "top", "diff", "export-fleet",
+    "export-matrix",
+];
+#[rustfmt::skip]
+const SEEDED: &[&str] = &["run", "all", "capture", "fleet", "chaos", "export-fleet", "export-matrix"];
+const BUDGETED: &[&str] = &["all", "capture", "fleet"];
+const SUPERVISED: &[&str] = &["capture", "fleet"];
+
+#[rustfmt::skip]
+const FLAGS: &[Flag] = &[
+    Flag { name: "--seed", arity: Value("N"), cmds: SEEDED, help: "base RNG seed (default 42)" },
+    Flag { name: "--fast", arity: Switch, help: "tiny plant and short horizon",
+           cmds: &["run", "all", "capture", "fleet", "export-fleet", "export-matrix"] },
+    Flag { name: "--threads", arity: Value("N"), cmds: SEEDED,
+           help: "worker threads (default: available parallelism); never changes output" },
+    Flag { name: "--fidelity", arity: Value("packet|hybrid"),
+           cmds: &["run", "all", "capture", "fleet", "chaos"],
+           help: "packet (default), or hybrid: bulk flows analytic outside fidelity islands" },
+    Flag { name: "--checkpoint", arity: Value("DIR"), cmds: SUPERVISED,
+           help: "checkpoint directory (default sonet-checkpoints)" },
+    Flag { name: "--every-ms", arity: Value("N"), cmds: &["capture"],
+           help: "simulated ms between checkpoints (default 2000)" },
+    Flag { name: "--chunk-hosts", arity: Value("N"), cmds: &["fleet"],
+           help: "hosts generated between checkpoints (default 64)" },
+    Flag { name: "--resume", arity: Value("FILE"), cmds: SUPERVISED,
+           help: "continue from the checkpoint file a stopped run names" },
+    Flag { name: "--max-wall-secs", arity: Value("N"), cmds: BUDGETED, help: "wall-clock budget" },
+    Flag { name: "--max-events", arity: Value("N"), cmds: BUDGETED,
+           help: "work budget: engine events (fleet: samples)" },
+    Flag { name: "--max-rss-mb", arity: Value("N"), cmds: BUDGETED, help: "peak-RSS budget in MiB" },
+    Flag { name: "--audit", arity: Value("on|off"), cmds: SUPERVISED,
+           help: "invariant auditor at checkpoints (default: debug or `audit` builds)" },
+    Flag { name: "--profiles", arity: Value("all|a,b,…"), cmds: &["chaos"],
+           help: "chaos profiles to sweep (default all)" },
+    Flag { name: "--seeds", arity: Value("N"), cmds: &["chaos"], help: "seeds per profile (default 4)" },
+    Flag { name: "--duration-ms", arity: Value("N"), cmds: &["chaos"],
+           help: "simulated ms per run (default 2000)" },
+    Flag { name: "--out", arity: Value("DIR"), cmds: &["chaos"],
+           help: "campaign output directory (default sonet-chaos)" },
+    Flag { name: "--resume", arity: Switch, cmds: &["chaos"],
+           help: "continue a killed campaign from its last flushed chunk" },
+    Flag { name: "--max-shrinks", arity: Value("N"), cmds: &["chaos"],
+           help: "shrink at most N violating runs (default 4)" },
+    Flag { name: "--inject-bad", arity: Switch, cmds: &["chaos"],
+           help: "mix in the seeded known-bad fault plan" },
+    Flag { name: "--replay", arity: Value("FILE"), cmds: &["chaos"],
+           help: "re-run a shrunk repro; exit 0 iff its violation reproduces" },
+    Flag { name: "--once", arity: Switch, cmds: &["top"], help: "render one frame and exit" },
+    Flag { name: "--refresh-ms", arity: Value("N"), cmds: &["top"],
+           help: "redraw interval (default 500)" },
+    Flag { name: "--gate", arity: Value("PCT"), cmds: &["diff"],
+           help: "exit 1 when any regression exceeds PCT percent" },
+    Flag { name: "--obs", arity: OptionalMode, cmds: EVERY,
+           help: "flight recorder (default off; bare --obs means summary)" },
+    Flag { name: "--obs-interval", arity: Value("MS"), cmds: EVERY,
+           help: "sim time between timeline snapshots (deep defaults to 1000)" },
+    Flag { name: "--trace-out", arity: Value("FILE"), cmds: EVERY,
+           help: "write the span trace as Chrome trace_event JSON" },
+];
+
+impl Flag {
+    /// `--seed N`, `--fast`, `--obs[=off|summary|deep]`.
+    fn spelled(&self) -> String {
+        match self.arity {
+            Switch => self.name.to_owned(),
+            Value(v) => format!("{} {v}", self.name),
+            OptionalMode => format!("{}[=off|summary|deep]", self.name),
+        }
+    }
 }
 
-fn parse_common(args: &[String]) -> Result<Options, String> {
-    let mut opts = Options {
-        seed: 42,
-        fast: false,
-        threads: None,
-        fidelity: FidelityMode::Packet,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
+/// The usage text, generated from [`COMMANDS`] and [`FLAGS`].
+fn usage() -> String {
+    let mut out = "sonet — reproduce 'Inside the Social Network's (Datacenter) Network'\n\
+                   usage: sonet <command> [flags]\n\ncommands:\n"
+        .to_owned();
+    for (name, positionals, help) in COMMANDS {
+        out += &format!(
+            "  {:<34} {help}\n",
+            [&[*name], *positionals].concat().join(" ")
+        );
+    }
+    out += "\nflags (`--flag V` or `--flag=V`; a command rejects a flag it does not read):\n";
+    for f in FLAGS {
+        let cmds = if f.cmds == EVERY {
+            "every command".to_owned()
+        } else {
+            f.cmds.join(" ")
         };
-        match a.as_str() {
-            "--seed" => {
-                opts.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?
-            }
-            "--fast" => opts.fast = true,
-            "--threads" => {
-                opts.threads = Some(
-                    value("--threads")?
-                        .parse()
-                        .map_err(|e| format!("--threads: {e}"))?,
-                )
-            }
-            "--fidelity" => match it.next().map(String::as_str).and_then(FidelityMode::parse) {
-                Some(m) => opts.fidelity = m,
-                None => report::warn("--fidelity takes packet|hybrid; staying on packet"),
-            },
-            other => {
-                if let Some(v) = other.strip_prefix("--fidelity=") {
-                    match FidelityMode::parse(v) {
-                        Some(m) => opts.fidelity = m,
-                        None => report::warn(&format!(
-                            "--fidelity takes packet|hybrid, not '{v}'; staying on packet"
-                        )),
-                    }
-                }
-            }
-        }
+        out += &format!("  {:<26} {}\n  {:<26} [{cmds}]\n", f.spelled(), f.help, "");
     }
-    // Make the explicit count the process-wide default so analysis
-    // stages that fan out internally see the same setting.
-    if let Some(n) = opts.threads {
-        par::set_threads(n);
-    }
-    Ok(opts)
+    out + "\nsupervised runs exit 2 when a budget stops them (resumable)"
 }
 
-/// Flight-recorder flags, valid on every subcommand.
-struct ObsFlags {
-    mode: obs::ObsMode,
-    trace_out: Option<PathBuf>,
-    /// `--obs-interval MS`: sim time between timeline window snapshots.
-    /// `None` defers to the mode default (1 sim-second at deep, none
-    /// otherwise).
-    interval_ms: Option<u64>,
+/// A parsed command line: the command's positionals in order, and every
+/// flag given with its value (`None` for switches and a bare `--obs`).
+#[derive(Debug)]
+struct Args {
+    positionals: Vec<String>,
+    flags: Vec<(&'static str, Option<String>)>,
 }
 
-/// Parses `--obs[=off|summary|deep]` (bare `--obs` means `summary`),
-/// `--obs-interval MS`, and `--trace-out PATH` from anywhere on the
-/// command line, so the flight recorder covers every subcommand
-/// uniformly.
-fn parse_obs(args: &[String]) -> Result<ObsFlags, String> {
-    let mut flags = ObsFlags {
-        mode: obs::ObsMode::Off,
-        trace_out: None,
-        interval_ms: None,
+/// Parses the arguments after the subcommand `cmd` — the one walk of
+/// argv. Errors name the offending flag (or the command, for a wrong
+/// number of positionals) and end with the command's one-line usage.
+fn parse(cmd: &str, argv: &[String]) -> Result<Args, String> {
+    let Some((_, want, _)) = COMMANDS.iter().find(|c| c.0 == cmd) else {
+        return Err(format!("unknown command '{cmd}'\n{}", usage()));
     };
-    let mut i = 0;
-    while i < args.len() {
-        let a = args[i].as_str();
-        if a == "--obs" {
-            // The value is optional: consume the next token only when it
-            // names a mode, so `--obs --threads 4` still parses.
-            match args
-                .get(i + 1)
-                .map(String::as_str)
-                .and_then(obs::ObsMode::parse)
-            {
-                Some(m) => {
-                    flags.mode = m;
-                    i += 1;
-                }
-                None => flags.mode = obs::ObsMode::Summary,
-            }
-        } else if let Some(v) = a.strip_prefix("--obs=") {
-            flags.mode = obs::ObsMode::parse(v)
-                .ok_or_else(|| format!("--obs takes off|summary|deep, not '{v}'"))?;
-        } else if a == "--obs-interval" {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| "--obs-interval needs sim milliseconds".to_owned())?;
-            flags.interval_ms = Some(v.parse().map_err(|e| format!("--obs-interval: {e}"))?);
-            i += 1;
-        } else if let Some(v) = a.strip_prefix("--obs-interval=") {
-            flags.interval_ms = Some(v.parse().map_err(|e| format!("--obs-interval: {e}"))?);
-        } else if a == "--trace-out" {
-            let v = args
-                .get(i + 1)
-                .ok_or_else(|| "--trace-out needs a path".to_owned())?;
-            flags.trace_out = Some(PathBuf::from(v));
-            i += 1;
+    let reads = |f: &&Flag| f.cmds.contains(&cmd);
+    let line = || {
+        let flags = FLAGS
+            .iter()
+            .filter(reads)
+            .map(|f| format!(" [{}]", f.spelled()));
+        let head = [&[cmd], *want].concat().join(" ");
+        format!("usage: sonet {head}{}", flags.collect::<String>())
+    };
+    let mut args = Args {
+        positionals: Vec::new(),
+        flags: Vec::new(),
+    };
+    let mut it = argv.iter().peekable();
+    while let Some(tok) = it.next() {
+        if !tok.starts_with("--") {
+            args.positionals.push(tok.clone());
+            continue;
         }
-        i += 1;
+        let (name, inline) = match tok.split_once('=') {
+            Some((n, v)) => (n, Some(v.to_owned())),
+            None => (tok.as_str(), None),
+        };
+        let Some(flag) = FLAGS.iter().filter(reads).find(|f| f.name == name) else {
+            let why = if FLAGS.iter().any(|f| f.name == name) {
+                format!("`sonet {cmd}` does not read {name}")
+            } else {
+                format!("unknown flag {name}")
+            };
+            return Err(format!("{why}\n{}", line()));
+        };
+        let value = match (flag.arity, inline) {
+            (Switch, Some(_)) => return Err(format!("{name} takes no value\n{}", line())),
+            (_, Some(v)) => Some(v),
+            (Switch, None) => None,
+            (Value(_), None) => match it.next_if(|v| !v.starts_with("--")) {
+                Some(v) => Some(v.clone()),
+                None => return Err(format!("{name} needs a value\n{}", line())),
+            },
+            (OptionalMode, None) => it.next_if(|v| ObsMode::parse(v).is_some()).cloned(),
+        };
+        args.flags.push((flag.name, value));
     }
-    Ok(flags)
+    if args.positionals.len() != want.len() {
+        let (n, got) = (want.len(), &args.positionals);
+        return Err(format!(
+            "`sonet {cmd}` takes {n} positional argument(s), got {got:?}\n{}",
+            line()
+        ));
+    }
+    Ok(args)
+}
+
+impl Args {
+    /// The last occurrence of `name`, with its value. A repeated flag
+    /// keeps its last value.
+    fn last(&self, name: &str) -> Option<Option<&str>> {
+        debug_assert!(
+            FLAGS.iter().any(|f| f.name == name),
+            "{name} is not in FLAGS"
+        );
+        let (_, v) = self.flags.iter().rev().find(|(n, _)| *n == name)?;
+        Some(v.as_deref())
+    }
+
+    /// Whether `name` was given.
+    fn flag(&self, name: &str) -> bool {
+        self.last(name).is_some()
+    }
+
+    /// The value of `name`; `None` when absent (or a bare `--obs`).
+    fn value(&self, name: &str) -> Option<&str> {
+        self.last(name).flatten()
+    }
+
+    /// The value of `name` as a path.
+    fn path(&self, name: &str) -> Option<PathBuf> {
+        self.value(name).map(PathBuf::from)
+    }
+
+    /// The value of `name` parsed as `T`; `None` when absent.
+    fn get<T: FromStr>(&self, name: &str) -> Result<Option<T>, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        let Some(v) = self.value(name) else {
+            return Ok(None);
+        };
+        v.parse().map(Some).map_err(|e| format!("{name}: {e}"))
+    }
+
+    /// The value of `name` parsed by `parse`, which accepts `expected`.
+    fn choice<T>(
+        &self,
+        name: &str,
+        parse: fn(&str) -> Option<T>,
+        expected: &str,
+    ) -> Result<Option<T>, String> {
+        let Some(v) = self.value(name) else {
+            return Ok(None);
+        };
+        parse(v)
+            .map(Some)
+            .ok_or_else(|| format!("{name} takes {expected}, not '{v}'"))
+    }
+
+    fn seed(&self) -> Result<u64, String> {
+        Ok(self.get("--seed")?.unwrap_or(DEFAULT_SEED))
+    }
+
+    fn fidelity(&self) -> Result<FidelityMode, String> {
+        let mode = self.choice("--fidelity", FidelityMode::parse, "packet|hybrid")?;
+        Ok(mode.unwrap_or(FidelityMode::Packet))
+    }
+
+    fn obs_mode(&self) -> Result<ObsMode, String> {
+        let bare = if self.flag("--obs") {
+            ObsMode::Summary
+        } else {
+            ObsMode::Off
+        };
+        Ok(self
+            .choice("--obs", ObsMode::parse, "off|summary|deep")?
+            .unwrap_or(bare))
+    }
+}
+
+/// Applies the flight-recorder flags. Timeline window-snapshot policy:
+/// an explicit `--obs-interval` wins; deep mode defaults to one snapshot
+/// per simulated second; summary keeps checkpoint-boundary and final
+/// records only.
+fn start_obs(args: &Args) -> Result<(), String> {
+    obs::set_mode(args.obs_mode()?);
+    let interval_ns = match args.get::<u64>("--obs-interval")? {
+        Some(ms) => {
+            if !obs::on() {
+                report::warn("--obs-interval set but --obs is off; no timeline will be written");
+            }
+            ms.saturating_mul(1_000_000)
+        }
+        None if obs::deep() => obs::timeline::DEFAULT_DEEP_INTERVAL_NS,
+        None => 0,
+    };
+    obs::timeline::set_interval_ns(interval_ns);
+    Ok(())
 }
 
 /// Exports the span trace at process exit when `--trace-out` was given.
-fn finish_obs(flags: &ObsFlags) {
-    let Some(path) = &flags.trace_out else { return };
+fn finish_obs(args: &Args) {
+    let Some(path) = args.path("--trace-out") else {
+        return;
+    };
     if !obs::on() {
         report::warn("--trace-out set but --obs is off; writing an empty trace");
     }
-    match obs::trace::export_chrome(path) {
+    match obs::trace::export_chrome(&path) {
         Ok(n) => report::line(&format!("wrote {n} trace events to {}", path.display())),
         Err(e) => report::warn(&format!("trace export to {} failed: {e}", path.display())),
     }
@@ -224,20 +385,21 @@ fn finish_obs(flags: &ObsFlags) {
 /// Starts a `RUNINFO.json` manifest for the unsupervised commands when
 /// observability is on. Supervised runs (`capture`, `fleet`) write theirs
 /// next to their checkpoints instead.
-fn cli_runinfo(command: &str, opts: &Options) -> Option<obs::runinfo::RunInfo> {
-    obs::on().then(|| {
+fn cli_runinfo(command: &str, args: &Args) -> Result<Option<obs::runinfo::RunInfo>, String> {
+    let (seed, fidelity) = (args.seed()?, args.fidelity()?);
+    let threads = par::resolve_threads(args.get("--threads")?);
+    Ok(obs::on().then(|| {
         obs::runinfo::RunInfo::start(
             command,
-            opts.seed,
+            seed,
             &format!(
-                "{{\"seed\":{},\"fast\":{},\"fidelity\":\"{}\"}}",
-                opts.seed,
-                opts.fast,
-                opts.fidelity.name()
+                "{{\"seed\":{seed},\"fast\":{},\"fidelity\":\"{}\"}}",
+                args.flag("--fast"),
+                fidelity.name()
             ),
-            par::resolve_threads(opts.threads),
+            threads,
         )
-    })
+    }))
 }
 
 /// Installs a `./TIMELINE.jsonl` writer for the unsupervised commands
@@ -245,7 +407,7 @@ fn cli_runinfo(command: &str, opts: &Options) -> Option<obs::runinfo::RunInfo> {
 /// next to their checkpoints / campaign output instead.
 fn cli_timeline() {
     if obs::on() && !obs::timeline::installed() {
-        let path = std::path::Path::new(obs::timeline::TIMELINE);
+        let path = Path::new(obs::timeline::TIMELINE);
         if let Err(e) = obs::timeline::install(path) {
             report::warn(&format!("timeline install failed: {e}"));
         }
@@ -267,92 +429,57 @@ fn finish_cli_runinfo(runinfo: Option<obs::runinfo::RunInfo>, status: String) {
     }
 }
 
-fn parse_supervise(args: &[String]) -> Result<SuperviseFlags, String> {
-    let mut flags = SuperviseFlags {
-        checkpoint_dir: PathBuf::from("sonet-checkpoints"),
-        every_ms: None,
-        resume: None,
-        budget: RunBudget::unlimited(),
-        audit: None,
-        chunk_hosts: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--checkpoint" => flags.checkpoint_dir = PathBuf::from(value("--checkpoint")?),
-            "--every-ms" => {
-                flags.every_ms = Some(
-                    value("--every-ms")?
-                        .parse()
-                        .map_err(|e| format!("--every-ms: {e}"))?,
-                )
-            }
-            "--resume" => flags.resume = Some(PathBuf::from(value("--resume")?)),
-            "--max-wall-secs" => {
-                let secs: u64 = value("--max-wall-secs")?
-                    .parse()
-                    .map_err(|e| format!("--max-wall-secs: {e}"))?;
-                flags.budget.wall_clock = Some(Duration::from_secs(secs));
-            }
-            "--max-events" => {
-                flags.budget.max_events = Some(
-                    value("--max-events")?
-                        .parse()
-                        .map_err(|e| format!("--max-events: {e}"))?,
-                )
-            }
-            "--max-rss-mb" => {
-                let mb: u64 = value("--max-rss-mb")?
-                    .parse()
-                    .map_err(|e| format!("--max-rss-mb: {e}"))?;
-                flags.budget.max_peak_rss = Some(mb * 1024 * 1024);
-            }
-            "--audit" => {
-                flags.audit = match value("--audit")?.as_str() {
-                    "on" => Some(true),
-                    "off" => Some(false),
-                    other => return Err(format!("--audit takes on|off, not '{other}'")),
-                }
-            }
-            "--chunk-hosts" => {
-                flags.chunk_hosts = Some(
-                    value("--chunk-hosts")?
-                        .parse()
-                        .map_err(|e| format!("--chunk-hosts: {e}"))?,
-                )
-            }
-            _ => {}
-        }
-    }
-    Ok(flags)
+/// The `--max-*` budget flags.
+fn budget(args: &Args) -> Result<RunBudget, String> {
+    Ok(RunBudget {
+        wall_clock: args.get("--max-wall-secs")?.map(Duration::from_secs),
+        max_events: args.get("--max-events")?,
+        max_peak_rss: args
+            .get::<u64>("--max-rss-mb")?
+            .map(|mb| mb.saturating_mul(1 << 20)),
+    })
 }
 
-fn supervise_options(flags: &SuperviseFlags, opts: &Options) -> SuperviseOptions {
-    let mut sup = SuperviseOptions::new(&flags.checkpoint_dir);
-    if let Some(ms) = flags.every_ms {
+/// Supervision options for `capture` and `fleet`.
+fn supervise_options(args: &Args) -> Result<SuperviseOptions, String> {
+    let dir = args.path("--checkpoint");
+    let mut sup = SuperviseOptions::new(dir.unwrap_or_else(|| PathBuf::from("sonet-checkpoints")));
+    if let Some(ms) = args.get("--every-ms")? {
         sup.every = SimDuration::from_millis(ms);
     }
-    if let Some(hosts) = flags.chunk_hosts {
+    if let Some(hosts) = args.get("--chunk-hosts")? {
         sup.hosts_per_chunk = hosts;
     }
-    sup.budget = flags.budget.clone();
-    sup.audit = flags.audit;
-    sup.threads = opts.threads;
-    sup
+    sup.budget = budget(args)?;
+    let on_off = |v: &str| match v {
+        "on" => Some(true),
+        "off" => Some(false),
+        _ => None,
+    };
+    sup.audit = args.choice("--audit", on_off, "on|off")?;
+    sup.threads = args.get("--threads")?;
+    Ok(sup)
 }
 
-fn lab_config(opts: &Options) -> LabConfig {
-    let mut cfg = if opts.fast {
-        LabConfig::fast(opts.seed)
+fn lab_config(args: &Args) -> Result<LabConfig, String> {
+    let seed = args.seed()?;
+    let mut cfg = if args.flag("--fast") {
+        LabConfig::fast(seed)
     } else {
-        LabConfig::standard(opts.seed)
+        LabConfig::standard(seed)
     };
-    cfg.threads = opts.threads;
-    cfg.capture.fidelity = opts.fidelity;
-    cfg
+    cfg.threads = args.get("--threads")?;
+    cfg.capture.fidelity = args.fidelity()?;
+    Ok(cfg)
+}
+
+fn fleet_config(args: &Args) -> Result<FleetRunConfig, String> {
+    let seed = args.seed()?;
+    Ok(if args.flag("--fast") {
+        FleetRunConfig::fast(seed)
+    } else {
+        FleetRunConfig::standard(seed)
+    })
 }
 
 /// Which substrates an experiment consumes ([`reports`] free functions
@@ -432,25 +559,12 @@ fn render_report(
 /// then fan the experiments over the worker pool. Output order and bytes
 /// are identical for any `--threads` value: renders are collected per
 /// experiment and printed in `EXPERIMENTS` order.
-fn cmd_all(args: &[String]) -> ExitCode {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let budget = match parse_supervise(args) {
-        Ok(f) => f.budget,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut runinfo = cli_runinfo("all", &opts);
+fn cmd_all(args: &Args) -> Result<ExitCode, String> {
+    let cfg = lab_config(args)?;
+    let budget = budget(args)?;
+    let mut runinfo = cli_runinfo("all", args)?;
     cli_timeline();
-    let cfg = lab_config(&opts);
-    let threads = par::resolve_threads(opts.threads);
+    let threads = par::resolve_threads(cfg.threads);
 
     // Substrate builds are independent scenarios: run them concurrently,
     // each under `isolate` so one blowing up costs only its dependents.
@@ -509,105 +623,33 @@ fn cmd_all(args: &[String]) -> ExitCode {
     }
     if batch.all_ok() {
         finish_cli_runinfo(runinfo, "completed".to_owned());
-        ExitCode::SUCCESS
+        Ok(ExitCode::SUCCESS)
     } else {
         let failures = batch.failures();
         finish_cli_runinfo(runinfo, format!("failed: {failures} scenarios"));
-        ExitCode::FAILURE
+        Ok(ExitCode::FAILURE)
     }
-}
-
-/// Flags specific to `sonet chaos`.
-struct ChaosFlags {
-    profiles: String,
-    seeds: u64,
-    duration_ms: Option<u64>,
-    out_dir: PathBuf,
-    resume: bool,
-    inject_bad: bool,
-    max_shrinks: Option<usize>,
-    replay: Option<PathBuf>,
-}
-
-fn parse_chaos(args: &[String]) -> Result<ChaosFlags, String> {
-    let mut flags = ChaosFlags {
-        profiles: "all".to_owned(),
-        seeds: 4,
-        duration_ms: None,
-        out_dir: PathBuf::from("sonet-chaos"),
-        resume: false,
-        inject_bad: false,
-        max_shrinks: None,
-        replay: None,
-    };
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        let mut value = |name: &str| -> Result<&String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--profiles" => flags.profiles = value("--profiles")?.clone(),
-            "--seeds" => {
-                flags.seeds = value("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--duration-ms" => {
-                flags.duration_ms = Some(
-                    value("--duration-ms")?
-                        .parse()
-                        .map_err(|e| format!("--duration-ms: {e}"))?,
-                )
-            }
-            "--out" => flags.out_dir = PathBuf::from(value("--out")?),
-            "--resume" => flags.resume = true,
-            "--inject-bad" => flags.inject_bad = true,
-            "--max-shrinks" => {
-                flags.max_shrinks = Some(
-                    value("--max-shrinks")?
-                        .parse()
-                        .map_err(|e| format!("--max-shrinks: {e}"))?,
-                )
-            }
-            "--replay" => flags.replay = Some(PathBuf::from(value("--replay")?)),
-            _ => {}
-        }
-    }
-    Ok(flags)
 }
 
 /// `sonet chaos --replay FILE`: re-run a shrunk repro file standalone.
 /// Exits 0 iff the recorded SLO violation reproduces.
-fn cmd_chaos_replay(path: &std::path::Path) -> ExitCode {
-    let repro = match ReproFile::read(path) {
-        Ok(r) => r,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_chaos_replay(path: &Path) -> Result<ExitCode, String> {
+    let repro = ReproFile::read(path)?;
     obs::trace::set_export_meta("fault_plan_hash", repro.plan_hash.clone());
-    match replay_repro(&repro) {
-        Ok(true) => {
-            println!(
-                "repro {}: SLO '{}' violation REPRODUCES ({} fault events)",
-                repro.plan_hash,
-                repro.slo,
-                repro.plan.events().len()
-            );
-            ExitCode::SUCCESS
-        }
-        Ok(false) => {
-            println!(
-                "repro {}: SLO '{}' violation did NOT reproduce",
-                repro.plan_hash, repro.slo
-            );
-            ExitCode::FAILURE
-        }
-        Err(e) => {
-            report::line(&format!("replay failed: {e}"));
-            ExitCode::FAILURE
-        }
+    if replay_repro(&repro).map_err(|e| format!("replay failed: {e}"))? {
+        println!(
+            "repro {}: SLO '{}' violation REPRODUCES ({} fault events)",
+            repro.plan_hash,
+            repro.slo,
+            repro.plan.events().len()
+        );
+        Ok(ExitCode::SUCCESS)
+    } else {
+        println!(
+            "repro {}: SLO '{}' violation did NOT reproduce",
+            repro.plan_hash, repro.slo
+        );
+        Ok(ExitCode::FAILURE)
     }
 }
 
@@ -617,54 +659,38 @@ fn cmd_chaos_replay(path: &std::path::Path) -> ExitCode {
 /// Campaign completion is success regardless of SLO verdicts (violations
 /// are results, written to the report); only infrastructure failures
 /// exit nonzero.
-fn cmd_chaos(args: &[String]) -> ExitCode {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let flags = match parse_chaos(args) {
-        Ok(f) => f,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    if let Some(path) = &flags.replay {
-        return cmd_chaos_replay(path);
-    }
-    let profiles = match ChaosProfile::select(&flags.profiles) {
-        Ok(p) => p,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let mut cfg = CampaignConfig::new(profiles, flags.seeds, opts.seed);
-    if let Some(ms) = flags.duration_ms {
+fn cmd_chaos(args: &Args) -> Result<ExitCode, String> {
+    let mut cfg = CampaignConfig::new(
+        ChaosProfile::select(args.value("--profiles").unwrap_or("all"))?,
+        args.get("--seeds")?.unwrap_or(4),
+        args.seed()?,
+    );
+    if let Some(ms) = args.get("--duration-ms")? {
         cfg.duration = SimDuration::from_millis(ms);
     }
-    if let Some(n) = flags.max_shrinks {
+    if let Some(n) = args.get("--max-shrinks")? {
         cfg.max_shrinks = n;
     }
-    cfg.inject_known_bad = flags.inject_bad;
-    cfg.fidelity = opts.fidelity;
+    cfg.inject_known_bad = args.flag("--inject-bad");
+    cfg.fidelity = args.fidelity()?;
+    if let Some(path) = args.path("--replay") {
+        return cmd_chaos_replay(&path);
+    }
+    let out_dir = args.path("--out").unwrap_or_else(|| "sonet-chaos".into());
 
     let campaign_id = cfg.campaign_id();
     obs::trace::set_export_meta("campaign_id", campaign_id.clone());
-    let mut runinfo = cli_runinfo("chaos", &opts);
+    let mut runinfo = cli_runinfo("chaos", args)?;
     if let Some(info) = runinfo.as_mut() {
         info.campaign_id = Some(campaign_id.clone());
     }
 
-    match run_campaign(&cfg, Some(&flags.out_dir), flags.resume) {
+    match run_campaign(&cfg, Some(&out_dir), args.flag("--resume")) {
         Ok(rep) => {
             print!("{}", rep.render());
             report::line(&format!(
                 "campaign report: {}",
-                flags.out_dir.join("campaign-report.json").display()
+                out_dir.join("campaign-report.json").display()
             ));
             if let Some(info) = runinfo.as_mut() {
                 for r in rep.runs.iter().filter(|r| !r.pass) {
@@ -687,46 +713,30 @@ fn cmd_chaos(args: &[String]) -> ExitCode {
                     rep.passed, rep.violated, rep.infra_failed
                 ),
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
-            report::line(&format!("chaos campaign failed: {e}"));
             finish_cli_runinfo(runinfo, format!("failed: {e}"));
-            ExitCode::FAILURE
+            Err(format!("chaos campaign failed: {e}"))
         }
     }
 }
 
-fn cmd_capture(args: &[String]) -> ExitCode {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
+fn cmd_capture(args: &Args) -> Result<ExitCode, String> {
+    let sup = supervise_options(args)?;
+    let seed = args.seed()?;
+    let cfg = if args.flag("--fast") {
+        CaptureConfig::fast(seed)
+    } else {
+        CaptureConfig::standard(seed)
+    }
+    .with_fidelity(args.fidelity()?);
+    let result = match args.path("--resume") {
+        Some(path) => resume_capture(&path, &sup),
+        None => run_capture(&cfg, &sup),
     };
-    let flags = match parse_supervise(args) {
-        Ok(f) => f,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let sup = supervise_options(&flags, &opts);
-    let result = match &flags.resume {
-        Some(path) => resume_capture(path, &sup),
-        None => {
-            let cfg = if opts.fast {
-                CaptureConfig::fast(opts.seed)
-            } else {
-                CaptureConfig::standard(opts.seed)
-            }
-            .with_fidelity(opts.fidelity);
-            run_capture(&cfg, &sup)
-        }
-    };
-    match result {
-        Ok((RunStatus::Completed, Some(cap))) => {
+    match result.map_err(|e| format!("capture failed: {e}"))? {
+        (RunStatus::Completed, Some(cap)) => {
             println!(
                 "capture complete: {} calls issued, {} packets mirrored \
                  ({} overflowed, {} fault-dropped){}",
@@ -736,57 +746,33 @@ fn cmd_capture(args: &[String]) -> ExitCode {
                 cap.mirror_fault_dropped,
                 if cap.truncated { ", TRUNCATED" } else { "" },
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok((RunStatus::Stopped(reason), _)) => {
+        (RunStatus::Stopped(reason), _) => {
             report::line(&format!(
                 "capture stopped ({reason}); resume with:\n  sonet capture --resume {}",
                 sup.capture_checkpoint_path().display()
             ));
-            ExitCode::from(EXIT_STOPPED)
+            Ok(ExitCode::from(EXIT_STOPPED))
         }
-        Ok((RunStatus::Completed, None)) => unreachable!("completed runs carry results"),
-        Err(e) => {
-            report::line(&format!("capture failed: {e}"));
-            ExitCode::FAILURE
-        }
+        (RunStatus::Completed, None) => unreachable!("completed runs carry results"),
     }
 }
 
-fn cmd_fleet(args: &[String]) -> ExitCode {
-    let opts = match parse_common(args) {
-        Ok(o) => o,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let flags = match parse_supervise(args) {
-        Ok(f) => f,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let sup = supervise_options(&flags, &opts);
-    if opts.fidelity == FidelityMode::Hybrid {
+fn cmd_fleet(args: &Args) -> Result<ExitCode, String> {
+    let sup = supervise_options(args)?;
+    let cfg = fleet_config(args)?;
+    if args.fidelity()? == FidelityMode::Hybrid {
         report::line(
             "note: the fleet tier samples flows directly; --fidelity=hybrid changes nothing there",
         );
     }
-    let result = match &flags.resume {
-        Some(path) => resume_fleet(path, &sup),
-        None => {
-            let cfg = if opts.fast {
-                FleetRunConfig::fast(opts.seed)
-            } else {
-                FleetRunConfig::standard(opts.seed)
-            };
-            run_fleet(&cfg, &sup)
-        }
+    let result = match args.path("--resume") {
+        Some(path) => resume_fleet(&path, &sup),
+        None => run_fleet(&cfg, &sup),
     };
-    match result {
-        Ok((RunStatus::Completed, Some(data))) => {
+    match result.map_err(|e| format!("fleet run failed: {e}"))? {
+        (RunStatus::Completed, Some(data)) => {
             println!(
                 "fleet run complete: {} tagged rows ({} relaxed picks, {} agent-dropped); \
                  samples spooled at {}",
@@ -795,42 +781,27 @@ fn cmd_fleet(args: &[String]) -> ExitCode {
                 data.agent_dropped,
                 sup.fleet_spool_path().display(),
             );
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Ok((RunStatus::Stopped(reason), _)) => {
+        (RunStatus::Stopped(reason), _) => {
             report::line(&format!(
                 "fleet run stopped ({reason}); resume with:\n  sonet fleet --resume {}",
                 sup.fleet_checkpoint_path().display()
             ));
-            ExitCode::from(EXIT_STOPPED)
+            Ok(ExitCode::from(EXIT_STOPPED))
         }
-        Ok((RunStatus::Completed, None)) => unreachable!("completed runs carry results"),
-        Err(e) => {
-            report::line(&format!("fleet run failed: {e}"));
-            ExitCode::FAILURE
-        }
+        (RunStatus::Completed, None) => unreachable!("completed runs carry results"),
     }
 }
 
-fn cmd_run(args: &[String]) -> ExitCode {
-    let Some(id) = args.first() else {
-        report::line("usage: sonet run <id> [--seed N] [--fast] [--threads N]");
-        return ExitCode::FAILURE;
-    };
-    if !EXPERIMENTS.iter().any(|(e, _)| e == id) {
-        report::line(&format!("unknown experiment '{id}' (try `sonet list`)"));
-        return ExitCode::FAILURE;
+fn cmd_run(args: &Args) -> Result<ExitCode, String> {
+    let id = args.positionals[0].as_str();
+    if !EXPERIMENTS.iter().any(|(e, _)| *e == id) {
+        return Err(format!("unknown experiment '{id}' (try `sonet list`)"));
     }
-    let opts = match parse_common(&args[1..]) {
-        Ok(o) => o,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
-    let runinfo = cli_runinfo(&format!("run {id}"), &opts);
+    let cfg = lab_config(args)?;
+    let runinfo = cli_runinfo(&format!("run {id}"), args)?;
     cli_timeline();
-    let cfg = lab_config(&opts);
     let needs = experiment_needs(id);
     let capture = needs.capture.then(|| StandardCapture::run(&cfg.capture));
     let fleet = match needs
@@ -840,21 +811,19 @@ fn cmd_run(args: &[String]) -> ExitCode {
     {
         Ok(f) => f,
         Err(e) => {
-            report::line(&format!("fleet run failed: {e}"));
             finish_cli_runinfo(runinfo, format!("failed: {e}"));
-            return ExitCode::FAILURE;
+            return Err(format!("fleet run failed: {e}"));
         }
     };
     match render_report(id, capture.as_ref(), fleet.as_ref(), &cfg.fig15) {
         Ok(out) => {
             println!("{out}");
             finish_cli_runinfo(runinfo, "completed".to_owned());
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
         Err(e) => {
-            report::line(&e);
             finish_cli_runinfo(runinfo, format!("failed: {e}"));
-            ExitCode::FAILURE
+            Err(e)
         }
     }
 }
@@ -864,36 +833,16 @@ fn cmd_run(args: &[String]) -> ExitCode {
 /// drop and SLO-breach flags. Reads only the file; never touches the
 /// simulator process. `--once` renders a single frame (for scripts and
 /// CI); interactive mode refreshes until the `final` record lands.
-fn cmd_top(args: &[String]) -> ExitCode {
-    let Some(target) = args.first().filter(|a| !a.starts_with("--")) else {
-        report::line("usage: sonet top <run-dir|TIMELINE.jsonl> [--once] [--refresh-ms N]");
-        return ExitCode::FAILURE;
-    };
-    let once = args.iter().any(|a| a == "--once");
-    let mut refresh_ms = 500u64;
-    if let Some(i) = args.iter().position(|a| a == "--refresh-ms") {
-        match args.get(i + 1).and_then(|v| v.parse().ok()) {
-            Some(v) => refresh_ms = v,
-            None => {
-                report::line("--refresh-ms needs a number");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let path = match obs::dash::resolve_artifact(std::path::Path::new(target)) {
-        Ok(p) => p,
-        Err(e) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_top(args: &Args) -> Result<ExitCode, String> {
+    let target = &args.positionals[0];
+    let once = args.flag("--once");
+    let refresh_ms = args.get("--refresh-ms")?.unwrap_or(500);
+    let path = obs::dash::resolve_artifact(Path::new(target))?;
     if path.file_name().and_then(|n| n.to_str()) == Some("RUNINFO.json") {
-        report::line(&format!(
-            "{}: found a RUNINFO.json but no TIMELINE.jsonl; `sonet top` needs a timeline \
-             (run with --obs=deep or --obs-interval)",
-            target
+        return Err(format!(
+            "{target}: found a RUNINFO.json but no TIMELINE.jsonl; `sonet top` needs a timeline \
+             (run with --obs=deep or --obs-interval)"
         ));
-        return ExitCode::FAILURE;
     }
     let mut series = obs::dash::RunSeries::default();
     let mut offset = 0u64;
@@ -910,21 +859,18 @@ fn cmd_top(args: &[String]) -> ExitCode {
                 }
             }
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => {
-                report::line(&format!("{}: {e}", path.display()));
-                return ExitCode::FAILURE;
-            }
+            Err(e) => return Err(format!("{}: {e}", path.display())),
         }
         let done = series.rows.last().is_some_and(|r| r.trigger == "final");
         if interactive {
             // Home + clear-to-end keeps the frame flicker-free.
             print!("\x1b[H\x1b[2J");
         }
-        print!("{}", obs::dash::render_frame(&series.rows, &series));
+        print!("{}", obs::dash::render_frame(&series));
         use std::io::Write as _;
         let _ = std::io::stdout().flush();
         if once || done || !interactive {
-            return ExitCode::SUCCESS;
+            return Ok(ExitCode::SUCCESS);
         }
         std::thread::sleep(Duration::from_millis(refresh_ms));
     }
@@ -934,37 +880,10 @@ fn cmd_top(args: &[String]) -> ExitCode {
 /// from their `TIMELINE.jsonl` or `RUNINFO.json` artifacts (a directory
 /// selects its timeline, then its manifest). With `--gate`, exits
 /// nonzero when any regression exceeds PCT percent.
-fn cmd_diff(args: &[String]) -> ExitCode {
-    let mut paths: Vec<&String> = Vec::new();
-    let mut gate: Option<f64> = None;
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        if a == "--gate" {
-            match it.next().and_then(|v| v.parse().ok()) {
-                Some(v) => gate = Some(v),
-                None => {
-                    report::line("--gate needs a percentage");
-                    return ExitCode::FAILURE;
-                }
-            }
-        } else if !a.starts_with("--") {
-            paths.push(a);
-        }
-    }
-    let [a_path, b_path] = paths[..] else {
-        report::line(
-            "usage: sonet diff <runinfo|timeline|dir> <runinfo|timeline|dir> [--gate PCT]",
-        );
-        return ExitCode::FAILURE;
-    };
-    let load = |p: &str| obs::dash::load_series(std::path::Path::new(p));
-    let (a, b) = match (load(a_path), load(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            report::line(&e);
-            return ExitCode::FAILURE;
-        }
-    };
+fn cmd_diff(args: &Args) -> Result<ExitCode, String> {
+    let gate: Option<f64> = args.get("--gate")?;
+    let load = |p: &String| obs::dash::load_series(Path::new(p));
+    let (a, b) = (load(&args.positionals[0])?, load(&args.positionals[1])?);
     let report_ = obs::dash::diff(&a, &b);
     print!("{}", report_.render(&a.label, &b.label));
     if let Some(pct) = gate {
@@ -976,172 +895,196 @@ fn cmd_diff(args: &[String]) -> ExitCode {
                     r.what, r.change_pct
                 ));
             }
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         report::line(&format!("no regressions beyond {pct}%"));
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
+}
+
+/// `export-fleet` and `export-matrix`: run the fleet day the flags
+/// select, derive the artifact from it, and write it to the positional
+/// path. Returns the artifact and the path for the command's message.
+fn cmd_export<T>(
+    args: &Args,
+    derive: impl FnOnce(FleetData) -> Result<T, String>,
+    write: impl FnOnce(std::fs::File, &T) -> std::io::Result<()>,
+) -> Result<(T, &str), String> {
+    let path = args.positionals[0].as_str();
+    let fleet =
+        FleetData::run(&fleet_config(args)?).map_err(|e| format!("fleet run failed: {e}"))?;
+    let artifact = derive(fleet)?;
+    let file = std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+    write(file, &artifact).map_err(|e| format!("export failed: {e}"))?;
+    Ok((artifact, path))
 }
 
 fn main() -> ExitCode {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let obs_flags = match parse_obs(&args) {
-        Ok(f) => f,
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let Some((cmd, rest)) = argv.split_first() else {
+        report::line(&usage());
+        return ExitCode::FAILURE;
+    };
+    match parse(cmd, rest).and_then(|args| execute(cmd, &args)) {
+        Ok(code) => code,
         Err(e) => {
             report::line(&e);
-            return ExitCode::FAILURE;
+            ExitCode::FAILURE
         }
-    };
-    obs::set_mode(obs_flags.mode);
-    // Timeline window-snapshot policy: explicit `--obs-interval` wins;
-    // deep mode defaults to one snapshot per simulated second; summary
-    // keeps checkpoint-boundary and final records only.
-    let interval_ns = match obs_flags.interval_ms {
-        Some(ms) => {
-            if !obs::on() {
-                report::warn("--obs-interval set but --obs is off; no timeline will be written");
-            }
-            ms.saturating_mul(1_000_000)
-        }
-        None if obs::deep() => obs::timeline::DEFAULT_DEEP_INTERVAL_NS,
-        None => 0,
-    };
-    obs::timeline::set_interval_ns(interval_ns);
-    let code = dispatch(&args);
-    finish_obs(&obs_flags);
-    code
+    }
 }
 
-fn dispatch(args: &[String]) -> ExitCode {
-    match args.first().map(String::as_str) {
-        Some("list") => {
+/// Applies the process-wide flags (flight recorder, worker count), runs
+/// `cmd`, then exports the span trace.
+fn execute(cmd: &str, args: &Args) -> Result<ExitCode, String> {
+    start_obs(args)?;
+    // The explicit count becomes the process-wide default, so analysis
+    // stages that fan out internally see the same setting.
+    if let Some(n) = args.get("--threads")? {
+        par::set_threads(n);
+    }
+    let result = match cmd {
+        "list" => {
             println!("experiments:");
             for (id, what) in EXPERIMENTS {
                 println!("  {id:<8} {what}");
             }
-            ExitCode::SUCCESS
+            Ok(ExitCode::SUCCESS)
         }
-        Some("run") => cmd_run(&args[1..]),
-        Some("all") => cmd_all(&args[1..]),
-        Some("capture") => cmd_capture(&args[1..]),
-        Some("fleet") => cmd_fleet(&args[1..]),
-        Some("chaos") => cmd_chaos(&args[1..]),
-        Some("top") => cmd_top(&args[1..]),
-        Some("diff") => cmd_diff(&args[1..]),
-        Some("export-fleet") => {
-            let Some(path) = args.get(1) else {
-                report::line("usage: sonet export-fleet <out.jsonl> [--seed N] [--fast]");
-                return ExitCode::FAILURE;
-            };
-            let opts = match parse_common(&args[2..]) {
-                Ok(o) => o,
-                Err(e) => {
-                    report::line(&e);
-                    return ExitCode::FAILURE;
-                }
-            };
-            let cfg = if opts.fast {
-                FleetRunConfig::fast(opts.seed)
-            } else {
-                FleetRunConfig::standard(opts.seed)
-            };
-            let fleet = match FleetData::run(&cfg) {
-                Ok(f) => f,
-                Err(e) => {
-                    report::line(&format!("fleet run failed: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
-            let records: Vec<_> = fleet.table.rows().iter().map(|r| r.rec).collect();
-            let file = match std::fs::File::create(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    report::line(&format!("cannot create {path}: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = sonet_dc::telemetry::export::write_flows(file, &records) {
-                report::line(&format!("export failed: {e}"));
-                return ExitCode::FAILURE;
-            }
+        "run" => cmd_run(args),
+        "all" => cmd_all(args),
+        "capture" => cmd_capture(args),
+        "fleet" => cmd_fleet(args),
+        "chaos" => cmd_chaos(args),
+        "top" => cmd_top(args),
+        "diff" => cmd_diff(args),
+        "export-fleet" => cmd_export(
+            args,
+            |fleet| Ok(fleet.table.rows().iter().map(|r| r.rec).collect::<Vec<_>>()),
+            |file, records| sonet_dc::telemetry::export::write_flows(file, records),
+        )
+        .map(|(records, path)| {
             println!("wrote {} Fbflow samples to {path}", records.len());
             ExitCode::SUCCESS
-        }
-        Some("export-matrix") => {
-            let Some(path) = args.get(1) else {
-                report::line("usage: sonet export-matrix <out.csv> [--seed N] [--fast]");
-                return ExitCode::FAILURE;
-            };
-            let opts = match parse_common(&args[2..]) {
-                Ok(o) => o,
-                Err(e) => {
-                    report::line(&e);
-                    return ExitCode::FAILURE;
-                }
-            };
-            let cfg = if opts.fast {
-                FleetRunConfig::fast(opts.seed)
-            } else {
-                FleetRunConfig::standard(opts.seed)
-            };
-            let fleet = match FleetData::run(&cfg) {
-                Ok(f) => f,
-                Err(e) => {
-                    report::line(&format!("fleet run failed: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
-            let f5 = match reports::fig5(&fleet) {
-                Ok(f) => f,
-                Err(e) => {
-                    report::line(&format!("fig5 failed: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
-            let file = match std::fs::File::create(path) {
-                Ok(f) => f,
-                Err(e) => {
-                    report::line(&format!("cannot create {path}: {e}"));
-                    return ExitCode::FAILURE;
-                }
-            };
-            if let Err(e) = sonet_dc::telemetry::export::write_matrix_csv(file, &f5.frontend_matrix)
-            {
-                report::line(&format!("export failed: {e}"));
-                return ExitCode::FAILURE;
-            }
+        }),
+        "export-matrix" => cmd_export(
+            args,
+            |fleet| reports::fig5(&fleet).map_err(|e| format!("fig5 failed: {e}")),
+            |file, f5| sonet_dc::telemetry::export::write_matrix_csv(file, &f5.frontend_matrix),
+        )
+        .map(|(_, path)| {
             println!("wrote frontend rack-to-rack matrix to {path}");
             ExitCode::SUCCESS
+        }),
+        other => unreachable!("parse accepted unknown command {other}"),
+    };
+    finish_obs(args);
+    result
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn argv(line: &str) -> Vec<String> {
+        line.split_whitespace()
+            .map(|t| t.trim_matches('"').to_owned())
+            .collect()
+    }
+
+    fn parse_line(line: &str) -> Result<Args, String> {
+        let toks = argv(line);
+        parse(&toks[0], &toks[1..])
+    }
+
+    /// Every `--bin sonet -- …` command line in the README and the CI
+    /// workflow, with `\` continuations joined and `#` comments cut.
+    fn documented_commands() -> Vec<String> {
+        let docs = [
+            include_str!("../../README.md"),
+            include_str!("../../.github/workflows/ci.yml"),
+        ];
+        let mut out = Vec::new();
+        for doc in docs {
+            for line in doc.replace("\\\n", " ").lines() {
+                if let Some((_, cmd)) = line.split_once("--bin sonet -- ") {
+                    out.extend(cmd.split(" #").next().map(str::to_owned));
+                }
+            }
         }
-        _ => {
-            report::line(
-                "sonet — reproduce 'Inside the Social Network's (Datacenter) Network'\n\
-                 usage:\n\
-                 \x20 sonet list\n\
-                 \x20 sonet run <id> [--seed N] [--fast] [--threads N]\n\
-                 \x20 sonet all [--seed N] [--fast] [--threads N] [--max-wall-secs N]\n\
-                 \x20 sonet capture [--seed N] [--fast] [--threads N] [--checkpoint DIR]\n\
-                 \x20               [--every-ms N] [--resume FILE] [--max-wall-secs N]\n\
-                 \x20               [--max-events N] [--max-rss-mb N] [--audit on|off]\n\
-                 \x20 sonet fleet   [--seed N] [--fast] [--threads N] [--checkpoint DIR]\n\
-                 \x20               [--chunk-hosts N] [--resume FILE] [--max-wall-secs N]\n\
-                 \x20               [--max-events N] [--max-rss-mb N] [--audit on|off]\n\
-                 \x20 sonet chaos   [--profiles all|a,b,…] [--seeds N] [--seed BASE]\n\
-                 \x20               [--duration-ms N] [--out DIR] [--resume] [--threads N]\n\
-                 \x20               [--max-shrinks N] [--inject-bad] [--replay FILE]\n\
-                 \x20 sonet top <run-dir|TIMELINE.jsonl> [--once] [--refresh-ms N]\n\
-                 \x20 sonet diff <a> <b> [--gate PCT]   (a, b: timeline/runinfo/dir)\n\
-                 \x20 sonet export-fleet <out.jsonl> [--seed N] [--fast]\n\
-                 \x20 sonet export-matrix <out.csv> [--seed N] [--fast]\n\
-                 run, capture, fleet, and chaos also take --fidelity packet|hybrid\n\
-                 (default packet; hybrid advances bulk flows analytically outside\n\
-                 fidelity islands — mirrored hosts, sampled switches, faulted paths)\n\
-                 every command also takes --obs[=off|summary|deep], --obs-interval MS\n\
-                 (sim time between timeline snapshots; deep defaults to 1000), and\n\
-                 --trace-out FILE\n\
-                 supervised runs exit 2 when a budget stops them (resumable)",
-            );
-            ExitCode::FAILURE
+        out
+    }
+
+    #[test]
+    fn every_documented_command_parses() {
+        let cmds = documented_commands();
+        assert!(cmds.len() >= 20, "found only {cmds:?}");
+        // The typed getters accept every documented value too.
+        let values = |args: Args| -> Result<(), String> {
+            args.seed()?;
+            args.fidelity()?;
+            args.obs_mode()?;
+            args.get::<usize>("--threads")?;
+            args.get::<u64>("--obs-interval")?;
+            supervise_options(&args).map(drop)
+        };
+        for line in &cmds {
+            if let Err(e) = parse_line(line).and_then(values) {
+                panic!("`sonet {line}`: {e}");
+            }
         }
+    }
+
+    #[test]
+    fn usage_names_every_command_and_flag() {
+        let text = usage();
+        for (name, positionals, _) in COMMANDS {
+            assert!(text.contains(name), "usage lacks command {name}");
+            for p in *positionals {
+                assert!(text.contains(p), "usage lacks {name} {p}");
+            }
+        }
+        for f in FLAGS {
+            assert!(text.contains(&f.spelled()), "usage lacks {}", f.spelled());
+            for c in f.cmds {
+                assert!(
+                    COMMANDS.iter().any(|(n, _, _)| n == c),
+                    "{} names unknown command {c}",
+                    f.name
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn equals_and_space_forms_agree_and_obs_value_is_optional() {
+        let seed = |line: &str| parse_line(line).and_then(|a| a.seed());
+        assert_eq!(seed("capture --seed=7"), Ok(7));
+        assert_eq!(seed("capture --seed 7"), Ok(7));
+        assert_eq!(seed("capture"), Ok(DEFAULT_SEED));
+
+        let obs = |line: &str| parse_line(line).and_then(|a| a.obs_mode());
+        assert_eq!(obs("capture --obs --threads 4"), Ok(ObsMode::Summary));
+        assert_eq!(obs("capture --obs deep"), Ok(ObsMode::Deep));
+        assert_eq!(obs("capture --obs=deep"), Ok(ObsMode::Deep));
+        assert_eq!(obs("capture --obs=deep --obs"), Ok(ObsMode::Summary));
+        assert_eq!(obs("capture"), Ok(ObsMode::Off));
+        let threads = parse_line("capture --obs --threads 4").and_then(|a| a.get("--threads"));
+        assert_eq!(threads, Ok(Some(4usize)));
+    }
+
+    #[test]
+    fn arity_is_per_command() {
+        let chaos = parse_line("chaos --resume --seeds 2").expect("chaos --resume is a switch");
+        assert!(chaos.flag("--resume") && chaos.path("--resume").is_none());
+        let cap = parse_line("capture --resume ckpts/capture.ckpt").expect("capture --resume FILE");
+        assert_eq!(
+            cap.path("--resume"),
+            Some(PathBuf::from("ckpts/capture.ckpt"))
+        );
+        let err = parse_line("capture --resume").expect_err("capture --resume needs a file");
+        assert!(err.starts_with("--resume needs a value"), "{err}");
+        let err = parse_line("chaos --resume=x").expect_err("a switch takes no value");
+        assert!(err.starts_with("--resume takes no value"), "{err}");
     }
 }

@@ -121,19 +121,14 @@ fn chaos_replay_rejects_missing_and_malformed_files() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A `--seed` or `--threads` value that does not parse must stop the run
-/// with a nonzero exit naming the flag, before any work starts — not
-/// silently fall back to the default seed or width.
-#[test]
-fn unparseable_seed_or_threads_exits_nonzero_naming_the_flag() {
-    let dir = scratch_dir("bad-flags");
-    for (args, flag) in [
-        (&["capture", "--fast", "--seed", "0x7"][..], "--seed"),
-        (&["fleet", "--fast", "--threads", "two"][..], "--threads"),
-        (&["run", "table3", "--seed"][..], "--seed"),
-    ] {
+/// Runs each `(args, flag)` case in an empty scratch dir and asserts it
+/// exits nonzero, names `flag` on stderr, and leaves the dir empty — a
+/// rejected command line must stop before any work starts.
+fn assert_rejected(label: &str, cases: &[(&[&str], &str)]) {
+    let dir = scratch_dir(label);
+    for (args, flag) in cases {
         let out = sonet()
-            .args(args)
+            .args(*args)
             .current_dir(&dir)
             .output()
             .expect("spawn sonet");
@@ -152,4 +147,36 @@ fn unparseable_seed_or_threads_exits_nonzero_naming_the_flag() {
         "a rejected flag must not leave checkpoints or RUNINFO behind"
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `--seed` or `--threads` value that does not parse must stop the run
+/// with a nonzero exit naming the flag, before any work starts — not
+/// silently fall back to the default seed or width.
+#[test]
+fn unparseable_seed_or_threads_exits_nonzero_naming_the_flag() {
+    assert_rejected(
+        "bad-flags",
+        &[
+            (&["capture", "--fast", "--seed", "0x7"], "--seed"),
+            (&["fleet", "--fast", "--threads", "two"], "--threads"),
+            (&["run", "table3", "--seed"], "--seed"),
+        ],
+    );
+}
+
+/// A flag that is misspelled, that the command never reads, or whose
+/// value is not one of its choices must stop the run the same way — not
+/// be skipped while the command runs with its defaults.
+#[test]
+fn unknown_or_unread_flags_exit_nonzero_naming_the_flag() {
+    assert_rejected(
+        "strict-flags",
+        &[
+            (&["capture", "--fast", "--sed", "7"], "--sed"),
+            (&["run", "table2", "--checkpoint", "x"], "--checkpoint"),
+            (&["chaos", "--fast"], "--fast"),
+            (&["capture", "--fidelity=bogus"], "--fidelity"),
+            (&["top", "x", "--threads", "2"], "--threads"),
+        ],
+    );
 }
