@@ -17,13 +17,12 @@
 //! by construction — the same property the packet engine proves at its
 //! barriers.
 
+use super::part::{Calendar, CalendarEvent};
 use crate::faults::{FaultEvent, FaultKind};
 use crate::packet::ConnId;
 use serde::{Deserialize, Serialize};
 use sonet_topology::LinkId;
 use sonet_util::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Which engine a run's flows go through.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
@@ -179,17 +178,24 @@ pub(crate) struct FastEv {
     pub kind: FastKind,
 }
 
-impl Eq for FastEv {}
+impl CalendarEvent for FastEv {
+    type Entry = (SimTime, u64, u32);
+    type Payload = FastKind;
 
-impl Ord for FastEv {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+    fn split(self, slot: u32) -> (Self::Entry, FastKind) {
+        ((self.at, self.seq, slot), self.kind)
     }
-}
 
-impl PartialOrd for FastEv {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+    fn join((at, seq, _): Self::Entry, kind: FastKind) -> FastEv {
+        FastEv { at, seq, kind }
+    }
+
+    fn slot(entry: &Self::Entry) -> u32 {
+        entry.2
+    }
+
+    fn at(entry: &Self::Entry) -> SimTime {
+        entry.0
     }
 }
 
@@ -231,7 +237,7 @@ pub(crate) struct FastPath {
     /// Event sequence counter (keys the calendar's total order).
     seq: u64,
     /// The fast calendar.
-    queue: BinaryHeap<Reverse<FastEv>>,
+    queue: Calendar<FastEv>,
     /// Per-slot: the slot's current flow is on the fast path.
     pub fast: Vec<bool>,
     /// Per-slot: the analytic handshake has been charged.
@@ -285,7 +291,7 @@ impl FastPath {
         FastPath {
             cfg: FidelityConfig::default(),
             seq: 0,
-            queue: BinaryHeap::new(),
+            queue: Calendar::default(),
             fast: Vec::new(),
             established: Vec::new(),
             routes: Vec::new(),
@@ -355,21 +361,22 @@ impl FastPath {
     pub fn push(&mut self, at: SimTime, kind: FastKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Reverse(FastEv { at, seq, kind }));
+        self.queue.push(FastEv { at, seq, kind });
     }
 
     /// Earliest scheduled fast-event time.
     pub fn peek_at(&self) -> Option<SimTime> {
-        self.queue.peek().map(|r| r.0.at)
+        self.queue.peek_at()
     }
 
     /// Pops the single earliest event due at or before `t`. Draining one
     /// event at a time keeps the calendar canonical even when handling an
     /// event (a `Send`) schedules new events that are also already due.
     pub fn pop_next_due(&mut self, t: SimTime) -> Option<FastEv> {
-        match self.queue.peek() {
-            Some(r) if r.0.at <= t => Some(self.queue.pop().expect("peeked").0),
-            _ => None,
+        if self.queue.peek_at()? <= t {
+            self.queue.pop()
+        } else {
+            None
         }
     }
 
@@ -385,10 +392,10 @@ impl FastPath {
     pub fn bytes_in_flight(&self) -> u64 {
         self.queue
             .iter()
-            .map(|r| match &r.0.kind {
-                FastKind::ReqDone { req, .. } => *req,
-                FastKind::RespStart { resp, .. } | FastKind::RespDone { resp, .. } => *resp,
-                FastKind::Abort { bytes, .. } => *bytes,
+            .map(|e| match e.kind {
+                FastKind::ReqDone { req, .. } => req,
+                FastKind::RespStart { resp, .. } | FastKind::RespDone { resp, .. } => resp,
+                FastKind::Abort { bytes, .. } => bytes,
                 _ => 0,
             })
             .sum()
@@ -636,8 +643,8 @@ impl FastPath {
     /// padded to `n_slots` so the per-slot tables always match the
     /// endpoint tables.
     pub fn to_ckpt(&self, n_slots: usize) -> FastCkpt {
-        let mut events: Vec<FastEv> = self.queue.iter().map(|r| r.0.clone()).collect();
-        events.sort();
+        let mut events: Vec<FastEv> = self.queue.iter().collect();
+        events.sort_by_key(|e| (e.at, e.seq));
         let pad = |v: &[bool]| -> Vec<bool> {
             let mut v = v.to_vec();
             v.resize(n_slots, false);
@@ -674,7 +681,10 @@ impl FastPath {
             heavy_flow_bytes: c.heavy_flow_bytes,
         };
         self.seq = c.seq;
-        self.queue = c.events.into_iter().map(Reverse).collect();
+        self.queue = Calendar::default();
+        for ev in c.events {
+            self.queue.push(ev);
+        }
         self.fast = c.fast;
         self.established = c.established;
         self.routes = c.routes;

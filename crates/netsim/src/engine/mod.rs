@@ -41,7 +41,6 @@ use part::{Ev, EvKey, PartSampler, Partition, PartitionMap, Scheduled, SharedCtx
 use serde::{Deserialize, Serialize};
 use sonet_topology::{HostId, LinkHealth, LinkId, Node, SwitchId, Topology};
 use sonet_util::{SimDuration, SimTime};
-use std::cmp::Reverse;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -1495,10 +1494,7 @@ impl<T: PacketTap> Simulator<T> {
                         panic!("barrier audit failed: {report}");
                     }
                 }
-                let next = parts
-                    .iter()
-                    .filter_map(|p| p.events.peek().map(|r| r.0.at))
-                    .min();
+                let next = parts.iter().filter_map(|p| p.events.peek_at()).min();
                 // Window horizon: no event handled at or after `next`
                 // can reach another partition before `next + lookahead`.
                 let horizon = next.map(|t| t + shared.pmap.lookahead);
@@ -1767,7 +1763,7 @@ fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, parts: &mut [Partition]) ->
     // 1. Boundary events: outbox → target calendar, coalesced per target
     //    across every source so each target's calendar grows once per
     //    barrier instead of once per partition pair. Every entry carries
-    //    its (time, source, seq) key, so heap order — not delivery order
+    //    its (time, source, seq) key, so calendar order — not delivery order
     //    — decides processing order.
     let mut boundary: u64 = 0;
     let mut incoming: Vec<Vec<Scheduled>> = vec![Vec::new(); n];
@@ -1795,7 +1791,7 @@ fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, parts: &mut [Partition]) ->
         p.real_events += evs.len() as u64;
         for s in evs {
             debug_assert!(s.at >= p.now, "lookahead violation");
-            p.events.push(Reverse(s));
+            p.events.push(s);
         }
     }
 
@@ -2002,11 +1998,7 @@ impl<T: PacketTap> Simulator<T> {
         let n_links = sh.topo.links().len();
         let n_switches = sh.topo.switches().len();
 
-        let mut events: Vec<Scheduled> = self
-            .parts
-            .iter()
-            .flat_map(|p| p.events.iter().map(|r| r.0.clone()))
-            .collect();
+        let mut events: Vec<Scheduled> = self.parts.iter().flat_map(|p| p.events.iter()).collect();
         events.sort_by_key(Scheduled::key);
         // Fault events are replicated into every partition under one
         // shared key; the canonical calendar keeps a single copy (restore
@@ -2276,6 +2268,14 @@ impl<T: PacketTap> Simulator<T> {
                 }
             }
         }
+        // The canonical calendar holds each event once — fault replicas
+        // included — so a shared key means a forged or corrupt file, and
+        // the next checkpoint's dedup would silently drop one of the two.
+        let mut keys: Vec<EvKey> = ckpt.events.iter().map(Scheduled::key).collect();
+        keys.sort_unstable();
+        if keys.windows(2).any(|w| w[0] == w[1]) {
+            return bad("two calendar entries share one event key");
+        }
 
         sim.coord.now = ckpt.now;
         sim.coord.ext_seq = ckpt.ext_seq;
@@ -2430,7 +2430,7 @@ impl<T: PacketTap> Simulator<T> {
                     // each health replica stays in lockstep.
                     for p in &mut sim.parts {
                         p.real_events += 1;
-                        p.events.push(Reverse(ev.clone()));
+                        p.events.push(ev.clone());
                     }
                     continue;
                 }
@@ -2445,7 +2445,7 @@ impl<T: PacketTap> Simulator<T> {
             if !matches!(ev.ev, Ev::BufSample { .. }) {
                 p.real_events += 1;
             }
-            p.events.push(Reverse(ev));
+            p.events.push(ev);
         }
 
         // Flat totals land on partition 0; reports only ever read sums.
@@ -2627,8 +2627,7 @@ fn audit_parts(shared: &SharedCtx, parts: &[Partition], now: SimTime) -> Result<
 
     let mut in_flight = 0u64;
     for p in parts {
-        for r in p.events.iter() {
-            let s = &r.0;
+        for s in p.events.iter() {
             if matches!(s.ev, Ev::Transmit { .. } | Ev::Deliver { .. }) {
                 in_flight += 1;
             }

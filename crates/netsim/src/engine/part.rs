@@ -171,20 +171,100 @@ impl Scheduled {
     }
 }
 
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
+/// An event a [`Calendar`] can hold: a small ordered heap entry plus a
+/// payload parked in the calendar's slab.
+pub(crate) trait CalendarEvent: Sized {
+    /// The event's key with its slab slot appended, as one flat tuple:
+    /// it orders by the key first, and the slot fills the key's
+    /// alignment padding (`(SimTime, u32, u64, u32)` is 24 bytes).
+    type Entry: Copy + Ord;
+    type Payload;
+    fn split(self, slot: u32) -> (Self::Entry, Self::Payload);
+    fn join(entry: Self::Entry, payload: Self::Payload) -> Self;
+    fn slot(entry: &Self::Entry) -> u32;
+    fn at(entry: &Self::Entry) -> SimTime;
+}
+
+/// An event calendar: a binary min-heap of key entries over a slab of
+/// payloads. Sifting moves only the keys; a payload is written once on
+/// push and read once on pop. Freed slots are reused last-in first-out,
+/// so the hottest slab slot is the next one filled. Events pop in key
+/// order; keys are unique per calendar, so the slot never decides.
+pub(crate) struct Calendar<E: CalendarEvent> {
+    heap: BinaryHeap<Reverse<E::Entry>>,
+    slab: Vec<Option<E::Payload>>,
+    free: Vec<u32>,
+}
+
+impl<E: CalendarEvent> Default for Calendar<E> {
+    fn default() -> Self {
+        Calendar {
+            heap: BinaryHeap::new(),
+            slab: Vec::new(),
+            free: Vec::new(),
+        }
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
+
+impl<E: CalendarEvent> Calendar<E> {
+    pub(crate) fn push(&mut self, ev: E) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slab.push(None);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
+        });
+        let (entry, payload) = ev.split(slot);
+        self.slab[slot as usize] = Some(payload);
+        self.heap.push(Reverse(entry));
+    }
+
+    /// Time of the earliest event.
+    pub(crate) fn peek_at(&self) -> Option<SimTime> {
+        self.heap.peek().map(|r| E::at(&r.0))
+    }
+
+    /// Removes and returns the earliest event.
+    pub(crate) fn pop(&mut self) -> Option<E> {
+        let Reverse(entry) = self.heap.pop()?;
+        let slot = E::slot(&entry);
+        self.free.push(slot);
+        let payload = self.slab[slot as usize].take().expect("live slot");
+        Some(E::join(entry, payload))
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.heap.len()
+    }
+
+    /// Copies of the pending events, in no particular order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = E> + '_
+    where
+        E::Payload: Clone,
+    {
+        self.heap.iter().map(|r| {
+            let payload = self.slab[E::slot(&r.0) as usize].clone();
+            E::join(r.0, payload.expect("live slot"))
+        })
     }
 }
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.key().cmp(&other.key())
+
+impl CalendarEvent for Scheduled {
+    type Entry = (SimTime, u32, u64, u32);
+    type Payload = Ev;
+
+    fn split(self, slot: u32) -> (Self::Entry, Ev) {
+        ((self.at, self.src, self.seq, slot), self.ev)
+    }
+
+    fn join((at, src, seq, _): Self::Entry, ev: Ev) -> Scheduled {
+        Scheduled { at, src, seq, ev }
+    }
+
+    fn slot(entry: &Self::Entry) -> u32 {
+        entry.3
+    }
+
+    fn at(entry: &Self::Entry) -> SimTime {
+        entry.0
     }
 }
 
@@ -369,7 +449,7 @@ pub(crate) struct Partition {
     /// Region of the event currently being handled — the `src` every
     /// event scheduled by the handler is keyed with.
     cur_region: u32,
-    pub events: BinaryHeap<Reverse<Scheduled>>,
+    pub events: Calendar<Scheduled>,
     /// Per-region sequence counters (full region-count size; only the
     /// regions this partition owns ever advance). Region-scoped so event
     /// keys — and checkpoints — are fixed by the topology alone.
@@ -416,7 +496,7 @@ pub(crate) struct Partition {
     /// key — the granularity-independent order `free_conns` grows in.
     pub retired_buf: Vec<(EvKey, u32)>,
     pub counters: Counters,
-    /// Non-housekeeping events in this partition's heap + outboxes.
+    /// Non-housekeeping events in this partition's calendar + outboxes.
     pub real_events: u64,
     pub processed_events: u64,
     /// Events handled in the current window (for load accounting — fault
@@ -440,7 +520,7 @@ impl Partition {
             wend: SimTime::ZERO,
             cur_key: (SimTime::ZERO, 0, 0),
             cur_region: 0,
-            events: BinaryHeap::new(),
+            events: Calendar::default(),
             next_seqs: vec![0; sh.pmap.n_regions as usize],
             clients: Vec::new(),
             servers: Vec::new(),
@@ -475,12 +555,12 @@ impl Partition {
         if !matches!(ev, Ev::BufSample { .. }) {
             self.real_events += 1;
         }
-        self.events.push(Reverse(Scheduled {
+        self.events.push(Scheduled {
             at,
             src: EXT_SRC,
             seq,
             ev,
-        }));
+        });
     }
 
     /// Coordinator-side scheduling under a *region* key: consumes the
@@ -494,12 +574,12 @@ impl Partition {
         }
         let seq = self.next_seqs[region as usize];
         self.next_seqs[region as usize] += 1;
-        self.events.push(Reverse(Scheduled {
+        self.events.push(Scheduled {
             at,
             src: region,
             seq,
             ev,
-        }));
+        });
     }
 
     /// Schedules a partition-local event, keyed by the region of the
@@ -512,7 +592,7 @@ impl Partition {
         let src = self.cur_region;
         let seq = self.next_seqs[src as usize];
         self.next_seqs[src as usize] += 1;
-        self.events.push(Reverse(Scheduled { at, src, seq, ev }));
+        self.events.push(Scheduled { at, src, seq, ev });
     }
 
     /// Schedules an event into another partition's next window. The
@@ -571,11 +651,8 @@ impl Partition {
 
     /// Drains every event with `at < self.wend`, in key order.
     pub(crate) fn drain_window(&mut self, sh: &SharedCtx) {
-        while let Some(Reverse(head)) = self.events.peek() {
-            if head.at >= self.wend {
-                break;
-            }
-            let Reverse(sched) = self.events.pop().expect("peeked");
+        while self.events.peek_at().is_some_and(|at| at < self.wend) {
+            let sched = self.events.pop().expect("peeked");
             self.now = sched.at;
             self.last_at = sched.at;
             self.cur_key = sched.key();
@@ -1484,4 +1561,71 @@ pub(crate) fn gray_drop(link: u64, seq: u64, fraction: f64) -> bool {
     // 53 uniform mantissa bits → [0, 1); strict `<` keeps fraction 0.0
     // lossless and 1.0 total.
     ((z >> 11) as f64 / (1u64 << 53) as f64) < fraction
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sonet_util::Rng;
+
+    #[test]
+    fn calendar_matches_a_sorted_oracle() {
+        assert_eq!(
+            std::mem::size_of::<<Scheduled as CalendarEvent>::Entry>(),
+            24
+        );
+        let mut rng = Rng::new(18);
+        let mut cal: Calendar<Scheduled> = Calendar::default();
+        // (key, payload tag), kept sorted by key.
+        let mut oracle: Vec<(EvKey, u32)> = Vec::new();
+        let srcs = [0, 1, 7, EXT_SRC];
+        let mut seqs = [0u64; 4];
+        let mut peak = 0;
+        for tag in 0..20_000u32 {
+            // Pushes lead pops early on, then trail, so the calendar grows,
+            // shrinks and regrows through freed slots.
+            let push_odds = if tag < 10_000 { 0.6 } else { 0.4 };
+            if oracle.is_empty() || rng.chance(push_odds) {
+                // Few distinct instants, so many keys tie on `at` across
+                // sources and only `src` or `seq` orders them.
+                let at = SimTime::from_nanos(rng.below(50));
+                let si = rng.below(srcs.len() as u64) as usize;
+                let (src, seq) = (srcs[si], seqs[si]);
+                seqs[si] += 1;
+                let ev = Ev::Release {
+                    link: tag,
+                    bytes: 0,
+                };
+                cal.push(Scheduled { at, src, seq, ev });
+                let key = (at, src, seq);
+                let pos = oracle.partition_point(|(k, _)| *k < key);
+                oracle.insert(pos, (key, tag));
+            } else {
+                let (key, want) = oracle.remove(0);
+                let got = cal.pop().expect("oracle is non-empty");
+                assert_eq!(got.key(), key);
+                assert!(matches!(got.ev, Ev::Release { link, .. } if link == want));
+            }
+            assert_eq!(cal.len(), oracle.len());
+            assert_eq!(cal.peek_at(), oracle.first().map(|(k, _)| k.0));
+            peak = peak.max(oracle.len());
+            assert_eq!(cal.slab.len(), peak, "a push reuses a freed slot first");
+            if tag % 101 == 0 {
+                let mut pending: Vec<(EvKey, u32)> = cal
+                    .iter()
+                    .map(|s| match s.ev {
+                        Ev::Release { link, .. } => (s.key(), link),
+                        _ => unreachable!("only releases are pushed"),
+                    })
+                    .collect();
+                pending.sort_unstable();
+                assert_eq!(pending, oracle);
+            }
+        }
+        for (key, _) in oracle {
+            assert_eq!(cal.pop().map(|s| s.key()), Some(key));
+        }
+        assert!(cal.pop().is_none());
+        assert_eq!(cal.len(), 0);
+    }
 }

@@ -1313,33 +1313,49 @@ fn restore_rejects_corrupt_hosts_and_routes() {
             break;
         }
     }
+    // Two different events under one key: the second calendar entry
+    // takes the first one's `(at, src, seq)`.
+    let mut dup: EngineCheckpoint = serde_json::from_str(&json).expect("parse");
+    let (at, src, seq) = dup.events[0].key();
+    let second = &mut dup.events[1];
+    (second.at, second.src, second.seq) = (at, src, seq);
     let cases = [
         (
             "client endpoint host",
             forge_number(&json, "\"conns_client\":", "\"client\":", 999_999),
+            "out-of-range",
         ),
         (
             "server endpoint host",
             forge_number(&json, "\"conns_server\":", "\"server\":", 999_999),
+            "out-of-range",
         ),
         (
             "transmit route length",
             forge_number(&json, "{\"Transmit\":", "\"len\":", 200),
+            "out-of-range",
         ),
         (
             "transmit route hop",
             forge_number(&json, "{\"Transmit\":", "\"hops\":[", 999_999),
+            "out-of-range",
         ),
         (
             "deliver destination host",
             forge_number(&json, "{\"Deliver\":", "\"client\":", 999_999),
+            "out-of-range",
+        ),
+        (
+            "duplicate calendar key",
+            serde_json::to_string(&dup).expect("serialize"),
+            "share one event key",
         ),
     ];
-    for (what, forged) in cases {
+    for (what, forged, expected) in cases {
         assert_ne!(json, forged, "{what}: nothing was forged");
         let ckpt: EngineCheckpoint = serde_json::from_str(&forged).expect("parse");
         match Simulator::restore(Arc::clone(&topo), NullTap, ckpt) {
-            Err(SimError::Config(msg)) => assert!(msg.contains("out-of-range"), "{what}: {msg}"),
+            Err(SimError::Config(msg)) => assert!(msg.contains(expected), "{what}: {msg}"),
             Err(other) => panic!("{what}: expected Config error, got {other:?}"),
             Ok(_) => panic!("{what}: expected Config error, got a restored simulator"),
         }
