@@ -164,7 +164,6 @@ fn bench_partitioned(topo: &Arc<Topology>, width: usize, fast: bool) -> (PartWid
             secs,
             rate: per_sec(events, secs),
             barriers: stats.barriers,
-            steal_count: stats.steals,
             partitions,
             barrier_util: util,
         },
@@ -334,8 +333,8 @@ fn main() -> ExitCode {
         }
         println!(
             "partitioned width {}: {:.0} events/s ({} events / {:.2}s), {} barriers, \
-             {} steals, barrier util {:.2}",
-            pw.threads, pw.rate, pw.events, pw.secs, pw.barriers, pw.steal_count, pw.barrier_util,
+             barrier util {:.2}",
+            pw.threads, pw.rate, pw.events, pw.secs, pw.barriers, pw.barrier_util,
         );
         widths.push(pw);
     }

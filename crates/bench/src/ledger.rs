@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ledger format version, written as `"schema"`.
-pub const SCHEMA: u32 = 6;
+pub const SCHEMA: u32 = 7;
 
 /// The committed baseline ledger (`crates/bench/BENCH-baseline.json`)
 /// that the two floors compare against.
@@ -77,8 +77,6 @@ pub struct PartWidth {
     pub rate: f64,
     /// Window barriers crossed.
     pub barriers: u64,
-    /// Partition calendars stolen off another worker's deque.
-    pub steal_count: u64,
     /// Partition count: one per datacenter.
     pub partitions: usize,
     /// Measured worker utilization: wall time the pool's workers spent

@@ -159,16 +159,18 @@ pub(crate) struct CaptureStatics {
 pub(crate) const CAPTURE_WINDOW: SimDuration = SimDuration::from_millis(250);
 
 impl CaptureState {
-    /// Builds the plant, workload, engine, and mirrors for `cfg`. Fallible:
-    /// arbitrary configs (wrong scale spec, invalid fault plan) surface as
-    /// errors instead of panics.
+    /// Builds the plant, workload, engine, and mirrors for `cfg`: the
+    /// static structure from [`CaptureState::rebuild_static`], then the
+    /// fresh engine with its mirrors and faults. Fallible: arbitrary
+    /// configs (wrong scale spec, invalid fault plan) surface as errors
+    /// instead of panics.
     pub(crate) fn build(cfg: &CaptureConfig) -> Result<CaptureState, String> {
-        let topo =
-            Arc::new(Topology::build(packet_tier_spec(cfg.scale)).map_err(|e| e.to_string())?);
-        let mut profiles = ServiceProfiles::default();
-        profiles.rate_scale = cfg.rate_scale;
-        let mut workload =
-            Workload::new(Arc::clone(&topo), profiles, cfg.seed).map_err(|e| e.to_string())?;
+        let CaptureStatics {
+            topo,
+            mut workload,
+            monitored,
+            telemetry,
+        } = CaptureState::rebuild_static(cfg)?;
 
         let mirror = PortMirror::new(cfg.mirror_capacity);
         let mut sim = Simulator::new(Arc::clone(&topo), SimConfig::default(), mirror)
@@ -179,12 +181,10 @@ impl CaptureState {
         }
 
         // Mirror one host of each monitored role (§3.3.2).
-        let mut monitored = HashMap::new();
         for role in MONITORED_ROLES {
-            if let Some(h) = workload.monitored_host(role) {
+            if let Some(&h) = monitored.get(&role) {
                 sim.watch_link(topo.host_uplink(h));
                 sim.watch_link(topo.host_downlink(h));
-                monitored.insert(role, h);
             }
         }
         // The paper traced its Hadoop node "over a relatively busy
@@ -197,7 +197,6 @@ impl CaptureState {
         // faults are applied to the tap at window boundaries.
         cfg.faults.validate(&topo).map_err(|e| e.to_string())?;
         sim.inject_faults(&cfg.faults).map_err(|e| e.to_string())?;
-        let telemetry: Vec<FaultEvent> = cfg.faults.telemetry_events().copied().collect();
         let mut state = CaptureState {
             topo,
             workload,

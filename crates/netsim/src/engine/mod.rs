@@ -19,7 +19,7 @@
 //! partition-straddling links, capped at 1 ms. Boundary packets, tap
 //! deliveries, latency samples and buffer windows are exchanged at each
 //! barrier in canonical `(time, source-region, sequence)` order.
-//! Partitions run on the [`sonet_util::par`] work-stealing pool; because
+//! Partitions run on the [`sonet_util::par`] phased pool; because
 //! the region keys, the windows and every merge order are fixed by the
 //! topology and the event keys (never by thread scheduling), outputs are
 //! **byte-identical at any `--threads` value**, including 1. DESIGN.md
@@ -239,9 +239,9 @@ pub struct LiveCounters {
 }
 
 /// Barrier/throughput counters for the partitioned execution, for bench
-/// reporting. The event counts are deterministic; the `*_ns` fields and
-/// `steals` are wall-clock measurements of the worker pool (they vary
-/// run to run and never feed back into simulation state).
+/// reporting. The event counts are deterministic; the `*_ns` fields are
+/// wall-clock measurements of the worker pool (they vary run to run and
+/// never feed back into simulation state).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelStats {
     /// Lookahead windows executed (barriers crossed).
@@ -251,8 +251,9 @@ pub struct ParallelStats {
     /// Sum over windows of the busiest partition's event count — the
     /// critical path a perfectly scheduled run cannot beat.
     pub bottleneck_events: u64,
-    /// Partitions executed by a worker other than the one their weight
-    /// seeded them on (work-stealing migrations).
+    /// Always 0. Workers claim partitions from one shared cursor, so no
+    /// partition has a seeded owner to be stolen from; the field stays
+    /// for readers that still report it (`perfbench`).
     pub steals: u64,
     /// Total worker time spent draining partitions (wall clock).
     pub busy_ns: u64,
@@ -939,7 +940,7 @@ impl<T: PacketTap> Simulator<T> {
         // Heavy-hitter island: hand the flow over and let the packet
         // path carry this message (and all later ones).
         if request_bytes + response_bytes >= self.coord.fast.cfg.heavy_flow_bytes {
-            self.demote_to_packet(conn, at);
+            self.coord.demote_to_packet(&mut self.parts, conn, at);
             let cpart = self.coord.slots[idx].cpart as usize;
             let seq = self.coord.ext_seq;
             self.coord.ext_seq += 1;
@@ -975,60 +976,95 @@ impl<T: PacketTap> Simulator<T> {
         Ok(())
     }
 
-    /// Evaluates one deferred fast send at its issue instant `at`: fault
-    /// state turns into RTO delays or aborts, everything else becomes
-    /// analytic transfers on the virtual queues. Runs from the fast
-    /// calendar, so evaluation order is global time order.
+    /// Closes `conn` at absolute time `at` (FIN emission).
+    pub fn close_connection(&mut self, conn: ConnId, at: SimTime) -> Result<(), SimError> {
+        if at < self.coord.now {
+            return Err(SimError::TimeInPast {
+                requested: at,
+                now: self.coord.now,
+            });
+        }
+        let slot = self
+            .coord
+            .slots
+            .get(conn.index())
+            .filter(|s| s.gen == conn.gen)
+            .ok_or(SimError::NoSuchConn(conn))?;
+        let cpart = slot.cpart as usize;
+        if self.coord.fast.is_fast(conn.index()) {
+            // Fast flows close on the fast calendar; if the flow demotes
+            // before the FIN instant, the event handler forwards a packet
+            // close instead.
+            self.coord.fast.push(at, FastKind::Close { conn });
+            return Ok(());
+        }
+        let seq = self.coord.ext_seq;
+        self.coord.ext_seq += 1;
+        self.parts[cpart].push_ext(at, seq, Ev::Close { conn });
+        Ok(())
+    }
+}
+
+/// The hybrid fast path's event handlers. They run on the coordinator
+/// — from the barrier planner, between windows — so they touch only
+/// the shared plant context, the coordinator and the partitions.
+impl<T: PacketTap> Coord<T> {
+    /// Evaluates one deferred fast send at its issue instant
+    /// `meta.issued_at`: fault state turns into RTO delays or aborts,
+    /// everything else becomes analytic transfers on the virtual queues.
+    /// Runs from the fast calendar, so evaluation order is global time
+    /// order.
     fn fast_send_eval(
         &mut self,
+        shared: &SharedCtx,
+        parts: &mut [Partition],
         conn: ConnId,
-        at: SimTime,
         request_bytes: u64,
-        response_bytes: u64,
-        service_time: SimDuration,
+        meta: MsgMeta,
     ) {
+        let MsgMeta {
+            response_bytes,
+            service_time,
+            issued_at: at,
+        } = meta;
         let idx = conn.index();
         if !self.slot_live(conn) {
-            self.coord.fast.counters.on_closed += 1;
+            self.fast.counters.on_closed += 1;
             return;
         }
-        if !self.coord.fast.is_fast(idx) {
+        if !self.fast.is_fast(idx) {
             // The flow demoted between issue and send instant: the packet
             // engine carries this message.
-            let cpart = self.coord.slots[idx].cpart as usize;
-            let seq = self.coord.ext_seq;
-            self.coord.ext_seq += 1;
-            self.parts[cpart].push_ext(
+            let cpart = self.slots[idx].cpart as usize;
+            let seq = self.ext_seq;
+            self.ext_seq += 1;
+            parts[cpart].push_ext(
                 at,
                 seq,
                 Ev::SendMsg {
                     conn,
                     req: request_bytes,
-                    meta: MsgMeta {
-                        response_bytes,
-                        service_time,
-                        issued_at: at,
-                    },
+                    meta,
                 },
             );
             return;
         }
-        let cpart = self.coord.slots[idx].cpart as usize;
-        let closed = self.parts[cpart].clients[idx]
+        let cpart = self.slots[idx].cpart as usize;
+        let closed = parts[cpart].clients[idx]
             .as_ref()
             .map(|c| c.phase == ConnPhase::Closed)
             .unwrap_or(true);
         if closed {
             // The flow aborted before the send instant.
-            self.coord.fast.counters.on_closed += 1;
+            self.fast.counters.on_closed += 1;
             return;
         }
-        let cfg = &self.shared.cfg;
-        let fast = &mut self.coord.fast;
+        let cfg = &shared.cfg;
+        let fast = &mut self.fast;
         fast.counters.bytes_offered += request_bytes + response_bytes;
         let (fwd, rev) = fast.routes(idx).clone();
-        let rf_fwd = fast.route_fault_at(&fwd, at, &self.shared.link_from_switch);
-        let rf_rev = fast.route_fault_at(&rev, at, &self.shared.link_from_switch);
+        let rf_fwd = fast.route_fault_at(&fwd, at, &shared.link_from_switch);
+        let rf_rev = fast.route_fault_at(&rev, at, &shared.link_from_switch);
         if rf_fwd.down || rf_rev.down {
             // A dead hop on the pinned route: the transport burns its
             // consecutive-RTO budget and aborts, as the packet engine's
@@ -1049,8 +1085,8 @@ impl<T: PacketTap> Simulator<T> {
                 &fwd,
                 &rev,
                 cfg.control_bytes,
-                &self.shared.link_gbps,
-                &self.shared.link_prop,
+                &shared.link_gbps,
+                &shared.link_prop,
             );
         }
         // Gray loss: deterministic drop trials on the worst gray hop add
@@ -1090,11 +1126,11 @@ impl<T: PacketTap> Simulator<T> {
             cfg.mss,
             cfg.header_bytes,
             cfg.window_segments,
-            &self.shared.link_gbps,
-            &self.shared.link_prop,
+            &shared.link_gbps,
+            &shared.link_prop,
         );
         if response_bytes == 0 {
-            let latency = self.shared.record_latencies.then(|| req_done - at);
+            let latency = shared.record_latencies.then(|| req_done - at);
             fast.push(
                 req_done,
                 FastKind::ReqDone {
@@ -1127,9 +1163,16 @@ impl<T: PacketTap> Simulator<T> {
     }
 
     /// Evaluates a deferred response transfer at its start instant.
-    fn fast_resp_eval(&mut self, conn: ConnId, start: SimTime, resp: u64, issued_at: SimTime) {
-        let cfg = &self.shared.cfg;
-        let fast = &mut self.coord.fast;
+    fn fast_resp_eval(
+        &mut self,
+        shared: &SharedCtx,
+        conn: ConnId,
+        start: SimTime,
+        resp: u64,
+        issued_at: SimTime,
+    ) {
+        let cfg = &shared.cfg;
+        let fast = &mut self.fast;
         let rev = fast.routes(conn.index()).1.clone();
         let resp_done = fast.transfer(
             &rev,
@@ -1138,8 +1181,8 @@ impl<T: PacketTap> Simulator<T> {
             cfg.mss,
             cfg.header_bytes,
             cfg.window_segments,
-            &self.shared.link_gbps,
-            &self.shared.link_prop,
+            &shared.link_gbps,
+            &shared.link_prop,
         );
         fast.push(
             resp_done,
@@ -1155,61 +1198,31 @@ impl<T: PacketTap> Simulator<T> {
     /// open time is scheduled now, so the packet handshake (with pre-open
     /// queueing for subsequent sends) takes over. In-flight analytic
     /// transfers still complete on the fast calendar.
-    fn demote_to_packet(&mut self, conn: ConnId, at: SimTime) {
+    fn demote_to_packet(&mut self, parts: &mut [Partition], conn: ConnId, at: SimTime) {
         let idx = conn.index();
-        if !self.coord.fast.is_fast(idx) {
+        if !self.fast.is_fast(idx) {
             return;
         }
-        self.coord.fast.drop_fast(idx);
-        self.coord.fast.counters.demotions += 1;
-        let cpart = self.coord.slots[idx].cpart as usize;
-        let closed = self.parts[cpart].clients[idx]
+        self.fast.drop_fast(idx);
+        self.fast.counters.demotions += 1;
+        let cpart = self.slots[idx].cpart as usize;
+        let closed = parts[cpart].clients[idx]
             .as_ref()
             .map(|c| c.phase == ConnPhase::Closed)
             .unwrap_or(true);
         if closed {
             return;
         }
-        let seq = self.coord.ext_seq;
-        self.coord.ext_seq += 1;
-        self.parts[cpart].push_ext(at, seq, Ev::OpenConn { conn });
-    }
-
-    /// Closes `conn` at absolute time `at` (FIN emission).
-    pub fn close_connection(&mut self, conn: ConnId, at: SimTime) -> Result<(), SimError> {
-        if at < self.coord.now {
-            return Err(SimError::TimeInPast {
-                requested: at,
-                now: self.coord.now,
-            });
-        }
-        let slot = self
-            .coord
-            .slots
-            .get(conn.index())
-            .filter(|s| s.gen == conn.gen)
-            .ok_or(SimError::NoSuchConn(conn))?;
-        let cpart = slot.cpart as usize;
-        if self.coord.fast.is_fast(conn.index()) {
-            // Fast flows close on the fast calendar; if the flow demotes
-            // before the FIN instant, the event handler forwards a packet
-            // close instead.
-            self.coord.fast.push(at, FastKind::Close { conn });
-            return Ok(());
-        }
-        let seq = self.coord.ext_seq;
-        self.coord.ext_seq += 1;
-        self.parts[cpart].push_ext(at, seq, Ev::Close { conn });
-        Ok(())
+        let seq = self.ext_seq;
+        self.ext_seq += 1;
+        parts[cpart].push_ext(at, seq, Ev::OpenConn { conn });
     }
 
     /// True when `conn` still names the slot's current incarnation.
     fn slot_live(&self, conn: ConnId) -> bool {
-        self.coord
-            .slots
+        self.slots
             .get(conn.index())
-            .map(|s| s.gen == conn.gen)
-            .unwrap_or(false)
+            .is_some_and(|s| s.gen == conn.gen)
     }
 
     /// Applies every fast-path event due at or before `t`, in canonical
@@ -1217,12 +1230,12 @@ impl<T: PacketTap> Simulator<T> {
     /// packet clock has already reached `t` — so completions, latency
     /// samples and retirements land in global time order and are
     /// byte-identical at any worker width.
-    fn apply_fast_due(&mut self, t: SimTime) {
+    fn apply_fast_due(&mut self, shared: &SharedCtx, parts: &mut [Partition], t: SimTime) {
         // One event at a time: handling a `Send` or `RespStart` schedules
         // follow-up events that may themselves already be due, and they
         // must drain in canonical `(at, seq)` order with everything else.
-        while let Some(ev) = self.coord.fast.pop_next_due(t) {
-            self.coord.fast.counters.events += 1;
+        while let Some(ev) = self.fast.pop_next_due(t) {
+            self.fast.counters.events += 1;
             match ev.kind {
                 FastKind::Send {
                     conn,
@@ -1230,24 +1243,29 @@ impl<T: PacketTap> Simulator<T> {
                     resp,
                     service,
                 } => {
-                    self.fast_send_eval(conn, ev.at, req, resp, service);
+                    let meta = MsgMeta {
+                        response_bytes: resp,
+                        service_time: service,
+                        issued_at: ev.at,
+                    };
+                    self.fast_send_eval(shared, parts, conn, req, meta);
                 }
                 FastKind::RespStart {
                     conn,
                     resp,
                     issued_at,
                 } => {
-                    self.fast_resp_eval(conn, ev.at, resp, issued_at);
+                    self.fast_resp_eval(shared, conn, ev.at, resp, issued_at);
                 }
                 FastKind::ReqDone { conn, req, latency } => {
                     // Conservation credits survive slot turnover: the
                     // bytes finished transferring whether or not the flow
                     // is still the slot's current incarnation.
                     let _ = conn;
-                    self.coord.fast.counters.completed += 1;
-                    self.coord.fast.counters.bytes_completed += req;
+                    self.fast.counters.completed += 1;
+                    self.fast.counters.bytes_completed += req;
                     if let Some(d) = latency {
-                        self.coord.latencies.push(d);
+                        self.latencies.push(d);
                     }
                 }
                 FastKind::RespDone {
@@ -1256,27 +1274,27 @@ impl<T: PacketTap> Simulator<T> {
                     latency,
                 } => {
                     let _ = conn;
-                    self.coord.fast.counters.bytes_completed += resp;
-                    if self.shared.record_latencies {
-                        self.coord.latencies.push(latency);
+                    self.fast.counters.bytes_completed += resp;
+                    if shared.record_latencies {
+                        self.latencies.push(latency);
                     }
                 }
                 FastKind::Demote { conn } => {
                     if self.slot_live(conn) {
-                        self.demote_to_packet(conn, ev.at);
+                        self.demote_to_packet(parts, conn, ev.at);
                     }
                 }
                 FastKind::Abort { conn, bytes } => {
-                    self.coord.fast.counters.aborted_messages += 1;
-                    self.coord.fast.counters.bytes_aborted += bytes;
-                    if self.slot_live(conn) && self.coord.fast.is_fast(conn.index()) {
-                        let cpart = self.coord.slots[conn.index()].cpart as usize;
-                        if let Some(c) = self.parts[cpart].clients[conn.index()].as_mut() {
+                    self.fast.counters.aborted_messages += 1;
+                    self.fast.counters.bytes_aborted += bytes;
+                    if self.slot_live(conn) && self.fast.is_fast(conn.index()) {
+                        let cpart = self.slots[conn.index()].cpart as usize;
+                        if let Some(c) = parts[cpart].clients[conn.index()].as_mut() {
                             if c.phase != ConnPhase::Closed {
                                 c.phase = ConnPhase::Closed;
-                                self.coord.fast.counters.aborted_flows += 1;
-                                self.coord.fast.push(
-                                    ev.at + self.shared.cfg.conn_quarantine,
+                                self.fast.counters.aborted_flows += 1;
+                                self.fast.push(
+                                    ev.at + shared.cfg.conn_quarantine,
                                     FastKind::Retire { idx: conn.idx },
                                 );
                             }
@@ -1287,13 +1305,13 @@ impl<T: PacketTap> Simulator<T> {
                     if !self.slot_live(conn) {
                         continue;
                     }
-                    if self.coord.fast.is_fast(conn.index()) {
-                        let cpart = self.coord.slots[conn.index()].cpart as usize;
-                        if let Some(c) = self.parts[cpart].clients[conn.index()].as_mut() {
+                    if self.fast.is_fast(conn.index()) {
+                        let cpart = self.slots[conn.index()].cpart as usize;
+                        if let Some(c) = parts[cpart].clients[conn.index()].as_mut() {
                             if c.phase != ConnPhase::Closed {
                                 c.phase = ConnPhase::Closed;
-                                self.coord.fast.push(
-                                    ev.at + self.shared.cfg.conn_quarantine,
+                                self.fast.push(
+                                    ev.at + shared.cfg.conn_quarantine,
                                     FastKind::Retire { idx: conn.idx },
                                 );
                             }
@@ -1301,19 +1319,21 @@ impl<T: PacketTap> Simulator<T> {
                     } else {
                         // The flow demoted between FIN issue and FIN
                         // instant: close it the packet way.
-                        let cpart = self.coord.slots[conn.index()].cpart as usize;
-                        let seq = self.coord.ext_seq;
-                        self.coord.ext_seq += 1;
-                        self.parts[cpart].push_ext(ev.at, seq, Ev::Close { conn });
+                        let cpart = self.slots[conn.index()].cpart as usize;
+                        let seq = self.ext_seq;
+                        self.ext_seq += 1;
+                        parts[cpart].push_ext(ev.at, seq, Ev::Close { conn });
                     }
                 }
                 FastKind::Retire { idx } => {
-                    self.coord.free_conns.push(idx);
+                    self.free_conns.push(idx);
                 }
             }
         }
     }
+}
 
+impl<T: PacketTap> Simulator<T> {
     /// Publishes the fast path's RUNINFO gauges (write-only side channel;
     /// no-op with observability off).
     fn flush_fast_gauges(&self) {
@@ -1331,18 +1351,6 @@ impl<T: PacketTap> Simulator<T> {
     /// Runs the event loop until the clock reaches `until` (all events at
     /// or before `until` are processed; the clock then rests at `until`).
     pub fn run_until(&mut self, until: SimTime) {
-        // Interleave the two calendars at fixed, state-independent
-        // points: advance the packet engine to the next fast event's
-        // instant, apply every fast event due there, repeat. The fast
-        // path is coordinator-serial, so hybrid runs stay byte-identical
-        // at any worker width.
-        while let Some(tf) = self.coord.fast.peek_at() {
-            if tf > until {
-                break;
-            }
-            self.run_windows(StopMode::Until(tf));
-            self.apply_fast_due(tf);
-        }
         self.run_windows(StopMode::Until(until));
         self.flush_fast_gauges();
     }
@@ -1352,14 +1360,18 @@ impl<T: PacketTap> Simulator<T> {
     /// the calendar non-empty (use after the last injection when a
     /// natural quiesce is wanted rather than a fixed horizon).
     pub fn run_to_quiescence(&mut self) {
-        while let Some(tf) = self.coord.fast.peek_at() {
-            self.run_windows(StopMode::Until(tf));
-            self.apply_fast_due(tf);
-        }
         self.run_windows(StopMode::Quiescence);
         self.flush_fast_gauges();
     }
 
+    /// Runs lockstep windows on one pool run until `mode` says stop. The
+    /// barrier planner also interleaves the hybrid fast calendar, at
+    /// fixed, state-independent points: once no packet event at or
+    /// before the next fast instant `tf` is pending, the packet clock
+    /// rests at `tf` and every fast event due there applies on the
+    /// coordinator; until then, windows end one nanosecond past `tf`.
+    /// The fast path is coordinator-serial, so hybrid runs stay
+    /// byte-identical at any worker width.
     fn run_windows(&mut self, mode: StopMode) {
         let width = self
             .width_override
@@ -1385,22 +1397,20 @@ impl<T: PacketTap> Simulator<T> {
                 })
                 .collect()
         });
-        // Registered up front (not lazily on first increment) so a run
-        // that never steals still reports `engine.steals: 0` in its
-        // RUNINFO manifest rather than omitting the metric. Busy and
-        // pool-wall totals ride along so barrier_util is computable from
-        // artifacts alone (sonet diff), and the wake-latency histogram
-        // is present (count 0) even on serial runs that never hand off.
-        let pool_counters = sonet_util::obs::on().then(|| {
-            let m = sonet_util::obs::metrics::global();
+        // Scalar counters ride the same 64-window flush cadence as the
+        // per-partition batch: boundary events accumulate here, and the
+        // barrier and pool counters are published as the delta of
+        // `coord.pstats` since `flushed`. The zero-delta flush below
+        // registers them up front, so a serial run still reports
+        // `engine.worker_idle_ns: 0` in its RUNINFO manifest, and the
+        // wake-latency histogram is present (count 0) even on serial runs
+        // that never hand off.
+        let mut boundary_events = 0u64;
+        let mut flushed = coord.pstats;
+        if sonet_util::obs::on() {
             sonet_util::obs::gauge_set!("engine.width", width as u64);
-            (
-                m.counter("engine.steals"),
-                m.counter("engine.worker_idle_ns"),
-                m.counter("engine.worker_busy_ns"),
-                m.counter("engine.pool_wall_ns"),
-            )
-        });
+            flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
+        }
         let wake_hist = sonet_util::obs::on().then(|| {
             sonet_util::obs::metrics::global().histogram(
                 "engine.wake_latency_ns",
@@ -1411,20 +1421,10 @@ impl<T: PacketTap> Simulator<T> {
         let mut win_start_us: Option<u64> = None;
         let mut win_idx: u64 = 0;
         let mut pending_part_events: Vec<u64> = vec![0; parts.len()];
-        // Scalar counters ride the same 64-window flush cadence as the
-        // per-partition batch: plain u64 adds per window, registry traffic
-        // once per flush. (barriers, boundary events, steals, idle ns,
-        // busy ns, pool wall ns.)
-        let mut pend = [0u64; 6];
-        // Per-partition load estimate (integer EWMA of window event
-        // counts) feeding the stealing pool's seed assignment: heavy
-        // partitions spread across workers first, and persistently idle
-        // ones ride along as steal fodder.
-        let mut ewma: Vec<u64> = vec![0; parts.len()];
-        let parts = sonet_util::par::run_phased_stealing(
+        let parts = sonet_util::par::run_phased(
             width,
             parts,
-            |parts: &mut [Partition], ctl: &mut sonet_util::par::StealCtl| -> bool {
+            |parts: &mut [Partition], stats: &sonet_util::par::PhaseStats| -> bool {
                 if let Some(start) = win_start_us.take() {
                     sonet_util::obs::trace::complete(
                         "engine.window",
@@ -1432,7 +1432,7 @@ impl<T: PacketTap> Simulator<T> {
                         start,
                     );
                 }
-                pend[1] += barrier_merge(coord, parts);
+                boundary_events += barrier_merge(coord, parts);
                 for p in parts.iter_mut() {
                     coord.pstats.events += p.window_counted;
                     p.window_counted = 0;
@@ -1440,20 +1440,15 @@ impl<T: PacketTap> Simulator<T> {
                 if let Some(busiest) = parts.iter().map(|p| p.window_events).max() {
                     coord.pstats.bottleneck_events += busiest;
                 }
-                coord.pstats.steals += ctl.stats.steals;
-                coord.pstats.busy_ns += ctl.stats.busy_ns;
-                coord.pstats.idle_ns += ctl.stats.idle_ns;
-                coord.pstats.wall_ns += ctl.stats.wall_ns;
-                pend[2] += ctl.stats.steals;
-                pend[3] += ctl.stats.idle_ns;
-                pend[4] += ctl.stats.busy_ns;
-                pend[5] += ctl.stats.wall_ns;
+                coord.pstats.busy_ns += stats.busy_ns;
+                coord.pstats.idle_ns += stats.idle_ns;
+                coord.pstats.wall_ns += stats.wall_ns;
                 if let Some(h) = &wake_hist {
                     // Condvar wake → first task start, one sample per
-                    // worker per window (ROADMAP PR-7 follow-up). The
-                    // u64::MAX sentinel marks a worker that claimed no
-                    // state — nothing started, so nothing to measure.
-                    for &w in &ctl.stats.wake_first_ns {
+                    // worker per window. The u64::MAX sentinel marks a
+                    // worker that claimed no state — nothing started, so
+                    // nothing to measure.
+                    for &w in &stats.wake_first_ns {
                         if w != u64::MAX {
                             h.observe(w);
                         }
@@ -1472,46 +1467,66 @@ impl<T: PacketTap> Simulator<T> {
                     let flush = win_idx.is_multiple_of(OBS_FLUSH_WINDOWS);
                     record_window_metrics(parts, ctrs, &mut pending_part_events, flush);
                     if flush {
-                        flush_scalar_metrics(&mut pend, &pool_counters);
+                        flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
                     }
                 }
                 if let Some(ctrs) = &part_idle_counters {
-                    for (i, &busy) in ctl.stats.slot_busy_ns.iter().enumerate() {
-                        let idle = ctl.stats.wall_ns.saturating_sub(busy);
+                    for (i, &busy) in stats.slot_busy_ns.iter().enumerate() {
+                        let idle = stats.wall_ns.saturating_sub(busy);
                         if idle > 0 && i < ctrs.len() {
                             ctrs[i].add(idle);
                         }
                     }
                 }
-                for (i, p) in parts.iter_mut().enumerate() {
-                    ewma[i] = (ewma[i] + p.window_events) / 2;
-                    ctl.weights[i] = ewma[i] + 1;
+                for p in parts.iter_mut() {
                     p.window_events = 0;
                 }
+                // The fast calendar's next instant this run may reach, and
+                // the packet calendar head. While no packet event at or
+                // before `tf` is pending, rest every clock at `tf` and
+                // apply the fast events due there (they may schedule
+                // packet events at `tf` and fast events later on).
+                let (next, tf) = loop {
+                    let next = parts.iter().filter_map(|p| p.events.peek_at()).min();
+                    let tf = coord.fast.peek_at().filter(|&tf| match mode {
+                        StopMode::Until(until) => tf <= until,
+                        StopMode::Quiescence => true,
+                    });
+                    match tf {
+                        Some(tf) if next.is_none_or(|t| t > tf) => {
+                            for p in parts.iter_mut() {
+                                p.now = tf;
+                            }
+                            coord.now = tf;
+                            coord.apply_fast_due(shared, parts, tf);
+                        }
+                        _ => break (next, tf),
+                    }
+                };
                 if coord.audit_barriers {
                     let now = parts.iter().map(|p| p.now).max().unwrap_or(coord.now);
                     if let Err(report) = audit_parts(shared, parts, now) {
                         panic!("barrier audit failed: {report}");
                     }
                 }
-                let next = parts.iter().filter_map(|p| p.events.peek_at()).min();
-                // Window horizon: no event handled at or after `next`
-                // can reach another partition before `next + lookahead`.
-                let horizon = next.map(|t| t + shared.pmap.lookahead);
-                let wend = match mode {
-                    StopMode::Until(until) => match (next, horizon) {
-                        (Some(t), Some(h)) if t <= until => {
-                            Some((until + SimDuration::from_nanos(1)).min(h))
-                        }
-                        _ => None,
-                    },
-                    StopMode::Quiescence => {
+                // Window horizon: no event handled at or after `next` can
+                // reach another partition before `next + lookahead`. The
+                // window also stops one nanosecond past the next fast
+                // instant, else past `until`; a quiescing run with no fast
+                // event left runs on while real events remain.
+                let cap = tf.or(match mode {
+                    StopMode::Until(until) => Some(until),
+                    StopMode::Quiescence => None,
+                });
+                let wend = match cap {
+                    Some(cap) => next
+                        .filter(|&t| t <= cap)
+                        .map(|t| (cap + SimDuration::from_nanos(1)).min(t + shared.pmap.lookahead)),
+                    None => {
                         let real: u64 = parts.iter().map(|p| p.real_events).sum();
-                        if real == 0 {
-                            None
-                        } else {
-                            Some(horizon.expect("real events imply a calendar head"))
-                        }
+                        (real > 0).then(|| {
+                            next.expect("real events imply a calendar head") + shared.pmap.lookahead
+                        })
                     }
                 };
                 match wend {
@@ -1520,7 +1535,6 @@ impl<T: PacketTap> Simulator<T> {
                             p.wend = wend;
                         }
                         coord.pstats.barriers += 1;
-                        pend[0] += 1;
                         if sonet_util::obs::on() {
                             let t = next.expect("a scheduled window has a calendar head");
                             sonet_util::obs::hist_observe!(
@@ -1556,7 +1570,7 @@ impl<T: PacketTap> Simulator<T> {
                         // run's RUNINFO snapshot is taken.
                         if let Some(ctrs) = &part_ev_counters {
                             flush_window_metrics(parts, ctrs, &mut pending_part_events);
-                            flush_scalar_metrics(&mut pend, &pool_counters);
+                            flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
                         }
                         false
                     }
@@ -1638,11 +1652,13 @@ impl<T: PacketTap> Simulator<T> {
 /// capture — and per-window registry traffic is a measurable tax (CI
 /// pins `--obs summary` to ≤2% of events/sec).
 /// Counters therefore accumulate into `pending` (one slot per partition)
-/// and flush every `OBS_FLUSH_WINDOWS` barriers — exact totals, just
-/// batched — gauges refresh on the same cadence (they are last-write
-/// snapshots, so sampling loses nothing at the end of the run), and the
-/// per-window distribution histograms ride with the other per-window
-/// detail in deep mode.
+/// and flush every `OBS_FLUSH_WINDOWS` barriers of a run call — exact
+/// totals, just batched, with the epilogue draining the remainder. The
+/// fast-path interleave runs inside the barrier planner, so one batch
+/// spans any number of fast instants. Gauges refresh on the same cadence
+/// (they are last-write snapshots, so sampling loses nothing at the end
+/// of the run), and the per-window distribution histograms ride with the
+/// other per-window detail in deep mode.
 const OBS_FLUSH_WINDOWS: u64 = 64;
 
 fn record_window_metrics(
@@ -1675,44 +1691,34 @@ fn record_window_metrics(
     }
 }
 
-/// The pre-registered stealing-pool counter handles: steals, worker
-/// idle ns, worker busy ns, pool wall ns.
-type PoolCounters = (
-    std::sync::Arc<sonet_util::obs::metrics::Counter>,
-    std::sync::Arc<sonet_util::obs::metrics::Counter>,
-    std::sync::Arc<sonet_util::obs::metrics::Counter>,
-    std::sync::Arc<sonet_util::obs::metrics::Counter>,
-);
+/// The barrier and pool counters, named, with their [`ParallelStats`]
+/// totals.
+fn pool_metrics(s: &ParallelStats) -> [(&'static str, u64); 4] {
+    [
+        ("engine.barriers", s.barriers),
+        ("engine.worker_busy_ns", s.busy_ns),
+        ("engine.worker_idle_ns", s.idle_ns),
+        ("engine.pool_wall_ns", s.wall_ns),
+    ]
+}
 
-/// Drains the batched scalar counters — `pend` is `[barriers,
-/// boundary_events, steals, worker_idle_ns, worker_busy_ns,
-/// pool_wall_ns]` — on the same cadence as `flush_window_metrics`. The
-/// pool handles are the pre-registered quadruple, so a run that never
-/// steals still reports explicit zeros and `barrier_util`
+/// Publishes the scalar engine counters on the same cadence as
+/// `flush_window_metrics`: the boundary events batched in `boundary`, and
+/// each [`pool_metrics`] counter as the delta of `pstats` since `flushed`
+/// (the snapshot of the last flush). The pool counters are added even at
+/// a zero delta, so every observed run reports them and `barrier_util`
 /// (busy / width × wall) is derivable from any artifact.
-fn flush_scalar_metrics(pend: &mut [u64; 6], pool: &Option<PoolCounters>) {
+fn flush_scalar_metrics(pstats: &ParallelStats, flushed: &mut ParallelStats, boundary: &mut u64) {
     use sonet_util::obs;
-    if pend[0] > 0 {
-        obs::counter_add!("engine.barriers", pend[0]);
+    if *boundary > 0 {
+        obs::counter_add!("engine.boundary_events", *boundary);
+        *boundary = 0;
     }
-    if pend[1] > 0 {
-        obs::counter_add!("engine.boundary_events", pend[1]);
+    let m = obs::metrics::global();
+    for ((name, now), (_, then)) in pool_metrics(pstats).into_iter().zip(pool_metrics(flushed)) {
+        m.counter(name).add(now - then);
     }
-    if let Some((steal_ctr, idle_ctr, busy_ctr, wall_ctr)) = pool {
-        if pend[2] > 0 {
-            steal_ctr.add(pend[2]);
-        }
-        if pend[3] > 0 {
-            idle_ctr.add(pend[3]);
-        }
-        if pend[4] > 0 {
-            busy_ctr.add(pend[4]);
-        }
-        if pend[5] > 0 {
-            wall_ctr.add(pend[5]);
-        }
-    }
-    *pend = [0; 6];
+    *flushed = *pstats;
 }
 
 /// Drains the batched per-partition counters and refreshes the snapshot

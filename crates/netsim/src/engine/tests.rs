@@ -1415,49 +1415,91 @@ fn audit_detects_link_over_delivery() {
 fn run_until_step_size_is_unobservable() {
     // Splitting one horizon into many run calls must not change a byte:
     // the supervised runner steps the clock in checkpoint intervals while
-    // plain captures run straight through, and both must agree.
+    // plain captures run straight through, and both must agree, at any
+    // worker width. The hybrid input runs the same exchanges on the fast
+    // path, whose calendar interleaves with the windows at every fast
+    // instant. One heavy-hitter-sized transfer demotes its flow when it
+    // is issued, and a link fault on a second flow's pinned route demotes
+    // that flow from the fast calendar at the fault instant, mid-run.
     let topo = two_dc_topo();
-    let build = || {
-        let mut sim =
-            Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap).expect("valid config");
-        sim.record_latencies(true);
-        let webs = topo.hosts_with_role(sonet_topology::HostRole::Web);
-        let caches = topo.hosts_with_role(sonet_topology::HostRole::CacheLeader);
-        for (i, &w) in webs.iter().enumerate() {
-            let c = sim
-                .open_connection(SimTime::ZERO, w, caches[i % caches.len()], 11211)
-                .expect("open");
-            for m in 0..6u64 {
-                sim.send_message(
-                    c,
-                    SimTime::from_micros(i as u64 * 31 + m * 900),
-                    400 + m * 173,
-                    2_000,
-                    SimDuration::from_micros(50),
-                )
-                .expect("send");
+    let horizon = SimTime::from_millis(12);
+    for hybrid in [false, true] {
+        let build = |width: usize| {
+            let mut sim = Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap)
+                .expect("valid config");
+            sim.set_parallel_width(Some(width));
+            if hybrid {
+                sim.set_fidelity(FidelityConfig::hybrid()).expect("hybrid");
             }
-            sim.close_connection(c, SimTime::from_millis(8))
-                .expect("close");
-        }
-        sim
-    };
-    let mut straight = build();
-    straight.run_until(SimTime::from_millis(12));
-    let (a, _) = straight.finish();
+            sim.record_latencies(true);
+            let webs = topo.hosts_with_role(sonet_topology::HostRole::Web);
+            let caches = topo.hosts_with_role(sonet_topology::HostRole::CacheLeader);
+            for (i, &w) in webs.iter().enumerate() {
+                let c = sim
+                    .open_connection(SimTime::ZERO, w, caches[i % caches.len()], 11211)
+                    .expect("open");
+                for m in 0..6u64 {
+                    let req = if hybrid && i == 0 && m == 2 {
+                        FidelityConfig::hybrid().heavy_flow_bytes
+                    } else {
+                        400 + m * 173
+                    };
+                    sim.send_message(
+                        c,
+                        SimTime::from_micros(i as u64 * 31 + m * 900),
+                        req,
+                        2_000,
+                        SimDuration::from_micros(50),
+                    )
+                    .expect("send");
+                }
+                sim.close_connection(c, SimTime::from_millis(8))
+                    .expect("close");
+            }
+            if hybrid {
+                let uplink = topo.host_uplink(webs[1]);
+                sim.inject_fault(SimTime::from_millis(4), FaultKind::LinkDown(uplink))
+                    .expect("fault");
+                sim.inject_fault(SimTime::from_millis(6), FaultKind::LinkUp(uplink))
+                    .expect("fault");
+            }
+            sim
+        };
+        let mut runs = Vec::new();
+        for width in [1, 2] {
+            let mut straight = build(width);
+            straight.run_until(horizon);
+            runs.push((width, "straight", straight.finish().0));
 
-    let mut stepped = build();
-    let mut t = SimTime::ZERO;
-    while t < SimTime::from_millis(12) {
-        t += SimDuration::from_micros(370);
-        stepped.run_until(t.min(SimTime::from_millis(12)));
+            let mut stepped = build(width);
+            let mut t = SimTime::ZERO;
+            while t < horizon {
+                t += SimDuration::from_micros(370);
+                stepped.run_until(t.min(horizon));
+            }
+            runs.push((width, "stepped", stepped.finish().0));
+        }
+        let want = &runs[0].2;
+        if hybrid {
+            assert!(
+                want.flows_fast > 0,
+                "the hybrid input must use the fast path"
+            );
+            assert!(
+                want.fast_path_demotions >= 2,
+                "the heavy transfer and the link fault must each demote a flow, got {}",
+                want.fast_path_demotions
+            );
+        }
+        let want = serde_json::to_string(want).expect("json");
+        for (width, how, out) in &runs[1..] {
+            assert_eq!(
+                serde_json::to_string(out).expect("json"),
+                want,
+                "hybrid={hybrid}: {how} run at width {width} differs from straight at width 1"
+            );
+        }
     }
-    let (b, _) = stepped.finish();
-    assert_eq!(
-        serde_json::to_string(&a).expect("json"),
-        serde_json::to_string(&b).expect("json"),
-        "step size leaked into outputs"
-    );
 }
 
 #[test]

@@ -104,19 +104,16 @@ where
         .collect()
 }
 
-/// Timing and steal counters for one completed phase of
-/// [`run_phased_stealing`], filled in by the pool before each `plan`
-/// call. Purely observational: nothing in here feeds back into what any
-/// state computes, so wall-clock nondeterminism never touches outputs.
+/// Timings of one completed phase of [`run_phased`], filled in by the
+/// pool before each `plan` call. Purely observational: nothing in here
+/// feeds back into what any state computes, so wall-clock
+/// nondeterminism never touches outputs.
 #[derive(Debug, Clone, Default)]
 pub struct PhaseStats {
-    /// Work items executed by a worker other than the one they were
-    /// seeded to.
-    pub steals: u64,
     /// Total time workers spent inside `work` calls, summed over workers.
     pub busy_ns: u64,
-    /// Total time workers spent in-phase but not inside `work` (queue
-    /// scans plus waiting out the stragglers), summed over workers.
+    /// Total time workers spent in-phase but not inside `work` (cursor
+    /// claims plus waiting out the stragglers), summed over workers.
     pub idle_ns: u64,
     /// Longest single worker's in-phase time — the phase's critical path.
     pub wall_ns: u64,
@@ -124,46 +121,16 @@ pub struct PhaseStats {
     pub slot_busy_ns: Vec<u64>,
     /// Per-worker condvar-wake latency: nanoseconds from the phase
     /// release waking the worker to its first `work` call starting.
-    /// `u64::MAX` marks a worker that claimed no state this phase (its
-    /// queue was empty and every steal attempt lost). Empty on serial
+    /// `u64::MAX` marks a worker that claimed no state this phase (the
+    /// other workers had already claimed them all). Empty on serial
     /// (`threads <= 1`) runs, which have no hand-off to measure. Feeds
     /// the `engine.wake_latency_ns` histogram, so a weak width-8 speedup
-    /// is diagnosable from artifacts alone (ROADMAP PR-7 follow-up).
+    /// is diagnosable from artifacts alone.
     pub wake_first_ns: Vec<u64>,
 }
 
-/// Coordinator-side handle for [`run_phased_stealing`]: the previous
-/// phase's [`PhaseStats`] plus the per-state weights that seed the next
-/// phase's queues.
-#[derive(Debug, Clone, Default)]
-pub struct StealCtl {
-    /// Stats of the phase that just completed (zeroed before the first).
-    pub stats: PhaseStats,
-    /// Relative cost estimate per state, read when seeding the next
-    /// phase: heavier states are dealt to emptier workers first (greedy
-    /// LPT). Scheduling only — weights never change any state's value.
-    pub weights: Vec<u64>,
-}
-
-/// Deterministic greedy LPT deal: states sorted by (weight desc, index
-/// asc), each placed on the currently lightest worker (ties to the
-/// lowest worker id). Pure function of the weights, so the seeding —
-/// unlike the stealing that follows — is reproducible run to run.
-fn seed_queues(threads: usize, weights: &[u64]) -> Vec<Vec<usize>> {
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by_key(|&i| (std::cmp::Reverse(weights[i]), i));
-    let mut queues: Vec<Vec<usize>> = vec![Vec::new(); threads];
-    let mut loads = vec![0u64; threads];
-    for i in order {
-        let w = (0..threads).min_by_key(|&w| (loads[w], w)).expect(">=1");
-        loads[w] += weights[i].max(1);
-        queues[w].push(i);
-    }
-    queues
-}
-
 /// Runs a phased (bulk-synchronous) computation over a fixed set of
-/// states on a **persistent**, work-stealing pool.
+/// states on a **persistent** pool.
 ///
 /// `plan` runs on the caller's thread with exclusive access to every
 /// state and the completed phase's [`PhaseStats`] — it merges
@@ -173,67 +140,57 @@ fn seed_queues(threads: usize, weights: &[u64]) -> Vec<Vec<usize>> {
 /// start until every `work` call of the phase has returned, so `plan`
 /// always observes a quiescent barrier. `plan` is called once before
 /// the first phase (use it for setup) and its `false` return is the
-/// only exit. The workers are spawned once and reused for every phase;
-/// each barrier is a condvar round-trip.
+/// only exit. Workers are spawned only once that first call asks for a
+/// phase, and are then reused for every phase; each barrier is a
+/// condvar round-trip.
 ///
-/// Between phases the coordinator seeds one queue per worker from
-/// `ctl.weights` (heaviest states first, greedy LPT). During a phase
-/// each worker drains its own queue front-first; a worker whose queue
-/// runs dry scans the others round-robin from its right-hand neighbour
-/// and steals from the *back* (the victim's lightest remaining states),
-/// so a skewed window does not serialize behind one worker.
-///
-/// Every state is claimed by exactly one worker per phase and mutated
-/// only through `work(i, &mut states[i])` and by `plan` between phases,
-/// so *which* thread runs a state can never change what the state
-/// computes — stealing reorders execution, never results. With
-/// `threads <= 1` the phases run inline in index order and only
-/// `slot_busy_ns`, `busy_ns` and `wall_ns` are meaningful. A panic in
-/// `work` or `plan` is re-raised on the caller's thread.
-pub fn run_phased_stealing<S, P, W>(
-    threads: usize,
-    mut states: Vec<S>,
-    mut plan: P,
-    work: W,
-) -> Vec<S>
+/// Within a phase, workers claim state indices from one shared atomic
+/// cursor (the scheme [`map_indexed`] uses), so an idle worker simply
+/// takes the next unclaimed state and a slow state never holds the
+/// others back behind it. Every state is claimed by exactly one worker
+/// per phase and mutated only through `work(i, &mut states[i])` and by
+/// `plan` between phases, so *which* thread runs a state can never
+/// change what the state computes. With `threads <= 1` the phases run
+/// inline in index order and only `slot_busy_ns`, `busy_ns` and
+/// `wall_ns` are meaningful. A panic in `work` or `plan` is re-raised
+/// on the caller's thread.
+pub fn run_phased<S, P, W>(threads: usize, mut states: Vec<S>, mut plan: P, work: W) -> Vec<S>
 where
     S: Send,
-    P: FnMut(&mut [S], &mut StealCtl) -> bool,
+    P: FnMut(&mut [S], &PhaseStats) -> bool,
     W: Fn(usize, &mut S) + Sync,
 {
     let n = states.len();
     let threads = threads.max(1).min(n.max(1));
-    let mut ctl = StealCtl {
-        stats: PhaseStats {
-            slot_busy_ns: vec![0; n],
-            ..PhaseStats::default()
-        },
-        weights: vec![1; n],
+    let mut stats = PhaseStats {
+        slot_busy_ns: vec![0; n],
+        ..PhaseStats::default()
     };
+    if !plan(&mut states, &stats) {
+        return states;
+    }
     if threads <= 1 {
         loop {
-            if !plan(&mut states, &mut ctl) {
-                return states;
-            }
             let phase_start = std::time::Instant::now();
             let mut busy = 0u64;
             for (i, s) in states.iter_mut().enumerate() {
                 let t0 = std::time::Instant::now();
                 work(i, s);
                 let ns = t0.elapsed().as_nanos() as u64;
-                ctl.stats.slot_busy_ns[i] = ns;
+                stats.slot_busy_ns[i] = ns;
                 busy += ns;
             }
-            ctl.stats.steals = 0;
-            ctl.stats.busy_ns = busy;
-            ctl.stats.idle_ns = 0;
-            ctl.stats.wall_ns = phase_start.elapsed().as_nanos() as u64;
+            stats.busy_ns = busy;
+            stats.idle_ns = 0;
+            stats.wall_ns = phase_start.elapsed().as_nanos() as u64;
+            if !plan(&mut states, &stats) {
+                return states;
+            }
         }
     }
 
     /// What one worker reports back at the end of a phase.
     struct WorkerReport {
-        steals: u64,
         busy_ns: u64,
         wall_ns: u64,
         slot_busy: Vec<(usize, u64)>,
@@ -243,7 +200,6 @@ where
     impl Default for WorkerReport {
         fn default() -> WorkerReport {
             WorkerReport {
-                steals: 0,
                 busy_ns: 0,
                 wall_ns: 0,
                 slot_busy: Vec::new(),
@@ -266,21 +222,25 @@ where
     });
     let to_workers = std::sync::Condvar::new();
     let to_coord = std::sync::Condvar::new();
+    // Next unclaimed state of the current phase; reset to 0 by the
+    // coordinator under the `ctrl` lock before each release. `Relaxed`
+    // is enough: the cursor only hands out indices. The states move
+    // through the slot mutexes, and the reset is ordered before every
+    // worker's first claim by the `ctrl` lock that releases the phase.
+    let cursor = AtomicUsize::new(0);
     let mut slots: Vec<Mutex<Option<S>>> = Vec::with_capacity(n);
     slots.resize_with(n, || Mutex::new(None));
-    let mut queues: Vec<Mutex<std::collections::VecDeque<usize>>> = Vec::with_capacity(threads);
-    queues.resize_with(threads, || Mutex::new(std::collections::VecDeque::new()));
     let mut reports: Vec<Mutex<WorkerReport>> = Vec::with_capacity(threads);
     reports.resize_with(threads, || Mutex::new(WorkerReport::default()));
     let panic_payload: Mutex<Option<Box<dyn std::any::Any + Send>>> = Mutex::new(None);
 
-    let (ctrl, to_workers, to_coord) = (&ctrl, &to_workers, &to_coord);
-    let (slots_ref, queues_ref, reports_ref) = (&slots, &queues, &reports);
+    let (ctrl, to_workers, to_coord, cursor) = (&ctrl, &to_workers, &to_coord, &cursor);
+    let (slots_ref, reports_ref) = (&slots, &reports);
     let panic_payload = &panic_payload;
     let work = &work;
 
     std::thread::scope(|scope| {
-        for w in 0..threads {
+        for mine in reports_ref {
             scope.spawn(move || {
                 let mut seen = 0u64;
                 loop {
@@ -301,51 +261,27 @@ where
                     // poisoned lock) must reach the stop path below — a
                     // worker dying silently would strand the coordinator
                     // and its siblings on the barrier condvars forever.
-                    let r =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| 'phase: loop {
-                            // Own queue first (front = heaviest remaining),
-                            // then scan neighbours and steal from the back.
-                            // Each pop is bound to a `let` so its queue guard
-                            // drops before any other queue is touched: an
-                            // `if let` scrutinee guard would live through the
-                            // else branch, and two workers stealing from each
-                            // other would deadlock on each other's queues.
-                            let own = queues_ref[w]
-                                .lock()
-                                .expect("queue lock never poisons")
-                                .pop_front();
-                            let mut claimed = own;
-                            if claimed.is_none() {
-                                for off in 1..threads {
-                                    let v = (w + off) % threads;
-                                    let stolen = queues_ref[v]
-                                        .lock()
-                                        .expect("queue lock never poisons")
-                                        .pop_back();
-                                    if let Some(i) = stolen {
-                                        report.steals += 1;
-                                        claimed = Some(i);
-                                        break;
-                                    }
-                                }
-                            }
-                            let Some(i) = claimed else { break 'phase };
-                            let mut slot = slots_ref[i].lock().expect("slot lock never poisons");
-                            let mut s = slot.take().expect("each slot is claimed once per phase");
-                            let t0 = std::time::Instant::now();
-                            if report.wake_first_ns == u64::MAX {
-                                // First claim of the phase: how long the
-                                // condvar hand-off plus queue scan took
-                                // before real work started.
-                                report.wake_first_ns = phase_start.elapsed().as_nanos() as u64;
-                            }
-                            work(i, &mut s);
-                            let ns = t0.elapsed().as_nanos() as u64;
-                            *slot = Some(s);
-                            drop(slot);
-                            report.busy_ns += ns;
-                            report.slot_busy.push((i, ns));
-                        }));
+                    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| loop {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        if i >= n {
+                            break;
+                        }
+                        let mut slot = slots_ref[i].lock().expect("slot lock never poisons");
+                        let mut s = slot.take().expect("each slot is claimed once per phase");
+                        let t0 = std::time::Instant::now();
+                        if report.wake_first_ns == u64::MAX {
+                            // First claim of the phase: how long the
+                            // condvar hand-off took before real work
+                            // started.
+                            report.wake_first_ns = phase_start.elapsed().as_nanos() as u64;
+                        }
+                        work(i, &mut s);
+                        let ns = t0.elapsed().as_nanos() as u64;
+                        *slot = Some(s);
+                        drop(slot);
+                        report.busy_ns += ns;
+                        report.slot_busy.push((i, ns));
+                    }));
                     if let Err(payload) = r {
                         let mut c = ctrl.lock().expect("ctrl lock never poisons");
                         let mut p = panic_payload.lock().expect("panic slot");
@@ -359,7 +295,7 @@ where
                         return;
                     }
                     report.wall_ns = phase_start.elapsed().as_nanos() as u64;
-                    *reports_ref[w].lock().expect("report lock never poisons") = report;
+                    *mine.lock().expect("report lock never poisons") = report;
                     let mut c = ctrl.lock().expect("ctrl lock never poisons");
                     // Saturating: a concurrent panic path forces pending
                     // to zero to wake the coordinator immediately.
@@ -371,14 +307,53 @@ where
             });
         }
 
-        // Coordinator: alternate plan (exclusive access) with released
-        // phases until plan declines or a worker panics. A panic *in
+        // Coordinator: alternate released phases with plan (exclusive
+        // access) until plan declines or a worker panics. A panic *in
         // plan* is caught and converted into the normal stop path first:
         // unwinding out of the scope with workers parked on the condvar
         // would deadlock the join.
         loop {
+            for (slot, s) in slots_ref.iter().zip(states.drain(..)) {
+                *slot.lock().expect("slot lock never poisons") = Some(s);
+            }
+            {
+                let mut c = ctrl.lock().expect("ctrl lock never poisons");
+                cursor.store(0, Ordering::Relaxed);
+                c.pending = threads;
+                c.phase += 1;
+                to_workers.notify_all();
+                while c.pending > 0 {
+                    c = to_coord.wait(c).expect("ctrl lock never poisons");
+                }
+                if c.stop {
+                    break;
+                }
+            }
+            stats.busy_ns = 0;
+            stats.idle_ns = 0;
+            stats.wall_ns = 0;
+            stats.slot_busy_ns.fill(0);
+            stats.wake_first_ns.clear();
+            for r in reports_ref.iter() {
+                let mut r = r.lock().expect("report lock never poisons");
+                stats.busy_ns += r.busy_ns;
+                stats.idle_ns += r.wall_ns.saturating_sub(r.busy_ns);
+                stats.wall_ns = stats.wall_ns.max(r.wall_ns);
+                stats.wake_first_ns.push(r.wake_first_ns);
+                for (i, ns) in r.slot_busy.drain(..) {
+                    stats.slot_busy_ns[i] = ns;
+                }
+            }
+            for slot in slots_ref.iter() {
+                let s = slot
+                    .lock()
+                    .expect("slot lock never poisons")
+                    .take()
+                    .expect("phase barrier returned every state");
+                states.push(s);
+            }
             let cont = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                plan(&mut states, &mut ctl)
+                plan(&mut states, &stats)
             }))
             .unwrap_or_else(|payload| {
                 let mut p = panic_payload.lock().expect("panic slot");
@@ -392,52 +367,6 @@ where
                 c.stop = true;
                 to_workers.notify_all();
                 break;
-            }
-            if ctl.weights.len() != n {
-                ctl.weights.resize(n, 1);
-            }
-            for (slot, s) in slots_ref.iter().zip(states.drain(..)) {
-                *slot.lock().expect("slot lock never poisons") = Some(s);
-            }
-            for (q, seed) in queues_ref.iter().zip(seed_queues(threads, &ctl.weights)) {
-                *q.lock().expect("queue lock never poisons") = seed.into();
-            }
-            {
-                let mut c = ctrl.lock().expect("ctrl lock never poisons");
-                c.pending = threads;
-                c.phase += 1;
-                to_workers.notify_all();
-                while c.pending > 0 {
-                    c = to_coord.wait(c).expect("ctrl lock never poisons");
-                }
-                if c.stop {
-                    break;
-                }
-            }
-            ctl.stats.steals = 0;
-            ctl.stats.busy_ns = 0;
-            ctl.stats.idle_ns = 0;
-            ctl.stats.wall_ns = 0;
-            ctl.stats.slot_busy_ns.fill(0);
-            ctl.stats.wake_first_ns.clear();
-            for r in reports_ref.iter() {
-                let mut r = r.lock().expect("report lock never poisons");
-                ctl.stats.steals += r.steals;
-                ctl.stats.busy_ns += r.busy_ns;
-                ctl.stats.idle_ns += r.wall_ns.saturating_sub(r.busy_ns);
-                ctl.stats.wall_ns = ctl.stats.wall_ns.max(r.wall_ns);
-                ctl.stats.wake_first_ns.push(r.wake_first_ns);
-                for (i, ns) in r.slot_busy.drain(..) {
-                    ctl.stats.slot_busy_ns[i] = ns;
-                }
-            }
-            for slot in slots_ref.iter() {
-                let s = slot
-                    .lock()
-                    .expect("slot lock never poisons")
-                    .take()
-                    .expect("phase barrier returned every state");
-                states.push(s);
             }
         }
     });
@@ -529,9 +458,9 @@ mod tests {
     }
 
     #[test]
-    fn run_phased_stealing_zero_phases_returns_states_untouched() {
+    fn run_phased_zero_phases_returns_states_untouched() {
         for threads in [1, 4] {
-            let out = run_phased_stealing(
+            let out = run_phased(
                 threads,
                 vec![9u8, 8, 7],
                 |_, _| false,
@@ -542,21 +471,17 @@ mod tests {
     }
 
     #[test]
-    fn run_phased_stealing_plan_sees_quiescent_barrier() {
-        // Every phase doubles each state under skewed weights; plan
-        // asserts all states moved in lockstep, which fails if any work
-        // call (stolen or not) leaks past a barrier.
+    fn run_phased_plan_sees_quiescent_barrier() {
+        // Every phase doubles each state; plan asserts all states moved
+        // in lockstep, which fails if any work call leaks past a barrier.
         for threads in [1, 2, 4] {
             let mut rounds = 0u64;
-            let out = run_phased_stealing(
+            let out = run_phased(
                 threads,
                 vec![1u64; 8],
-                |states, ctl| {
+                |states, _| {
                     let first = states[0];
                     assert!(states.iter().all(|&s| s == first), "lockstep: {states:?}");
-                    for (i, w) in ctl.weights.iter_mut().enumerate() {
-                        *w = (rounds * 7 + i as u64 * 3) % 5 + 1;
-                    }
                     rounds += 1;
                     rounds <= 6
                 },
@@ -567,39 +492,20 @@ mod tests {
     }
 
     #[test]
-    fn seed_queues_deal_every_state_exactly_once() {
-        for threads in [1usize, 2, 3, 7] {
-            for n in [1usize, 2, 5, 16] {
-                let t = threads.min(n);
-                let weights: Vec<u64> = (0..n).map(|i| ((i * 37) % 11) as u64).collect();
-                let queues = seed_queues(t, &weights);
-                let mut all: Vec<usize> = queues.iter().flatten().copied().collect();
-                all.sort_unstable();
-                assert_eq!(all, (0..n).collect::<Vec<_>>(), "t={t} n={n}");
-                // Deterministic: same weights, same deal.
-                assert_eq!(queues, seed_queues(t, &weights));
-            }
-        }
-    }
-
-    #[test]
-    fn run_phased_stealing_matches_serial_at_any_width() {
+    fn run_phased_matches_serial_at_any_width() {
         // Each phase adds 3*(i+1) to state i; plan folds the running
         // cross-state sum into state 0 (the exclusive access it gets
-        // between phases) and churns the weights: weights may reshuffle
-        // who runs what, never what any state computes.
+        // between phases): which worker claims a state may vary, what
+        // the state computes may not.
         let run = |threads: usize| -> Vec<u64> {
             let mut phase = 0u64;
-            run_phased_stealing(
+            run_phased(
                 threads,
                 vec![0u64; 5],
-                |states, ctl| {
+                |states, _| {
                     if phase > 0 {
                         let total: u64 = states.iter().sum();
                         states[0] += total % 7;
-                    }
-                    for (i, w) in ctl.weights.iter_mut().enumerate() {
-                        *w = (phase * 13 + i as u64 * 5) % 17 + 1;
                     }
                     phase += 1;
                     phase <= 10
@@ -616,41 +522,59 @@ mod tests {
     }
 
     #[test]
-    fn stealing_rebalances_a_skewed_phase() {
-        // Worker 0 is seeded one fast state; worker 1 gets a slow state
-        // plus two more. Worker 0 finishes, finds its queue dry while
-        // worker 1 is still inside the slow state, and must steal —
-        // and the per-phase stats must say so.
+    fn a_slow_state_does_not_hold_back_the_rest() {
+        // State 0's work blocks until states 1..=3 of the same phase have
+        // run, so each phase completes only if the other worker claims
+        // them from the shared cursor while state 0 is still running. A
+        // pool that made them wait behind state 0 would time out here.
+        let others = (Mutex::new(0u64), std::sync::Condvar::new());
         let mut phase = 0u64;
-        let mut steals_seen = 0u64;
-        let mut busy_seen = 0u64;
-        let out = run_phased_stealing(
+        let out = run_phased(
             2,
             vec![0u64; 4],
-            |_, ctl| {
-                steals_seen += ctl.stats.steals;
-                busy_seen += ctl.stats.busy_ns;
-                ctl.weights.copy_from_slice(&[100, 90, 1, 1]);
+            |_, stats| {
+                if phase > 0 {
+                    // State 0 blocked on the condvar for real time, so a
+                    // pool that stopped timing its workers reads zero here.
+                    assert!(
+                        stats.slot_busy_ns[0] > 0 && stats.busy_ns > 0,
+                        "workers must report busy time"
+                    );
+                    assert!(stats.busy_ns >= stats.slot_busy_ns[0]);
+                    assert!(stats.wall_ns >= stats.slot_busy_ns[0]);
+                    assert_eq!(stats.wake_first_ns.len(), 2, "one wake sample per worker");
+                }
                 phase += 1;
                 phase <= 3
             },
             |i, s| {
-                if i == 1 {
-                    std::thread::sleep(std::time::Duration::from_millis(30));
-                }
                 *s += 1;
+                let (done, cv) = &others;
+                if i == 0 {
+                    let want = 3 * *s;
+                    let (guard, timeout) = cv
+                        .wait_timeout_while(
+                            done.lock().expect("test lock"),
+                            std::time::Duration::from_secs(10),
+                            |n| *n < want,
+                        )
+                        .expect("test lock");
+                    drop(guard);
+                    assert!(!timeout.timed_out(), "states 1..=3 waited behind state 0");
+                } else {
+                    *done.lock().expect("test lock") += 1;
+                    cv.notify_all();
+                }
             },
         );
         assert_eq!(out, vec![3u64; 4]);
-        assert!(steals_seen >= 1, "skew must force at least one steal");
-        assert!(busy_seen > 0, "workers must report busy time");
     }
 
     #[test]
-    fn run_phased_stealing_worker_panics_propagate() {
+    fn run_phased_worker_panics_propagate() {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut phase = 0;
-            run_phased_stealing(
+            run_phased(
                 3,
                 vec![0u32; 6],
                 |_, _| {
@@ -659,7 +583,7 @@ mod tests {
                 },
                 |i, s| {
                     if *s == 2 && i == 4 {
-                        panic!("stealing worker exploded");
+                        panic!("pool worker exploded");
                     }
                     *s += 1;
                 },
@@ -672,17 +596,17 @@ mod tests {
             .map(str::to_owned)
             .or_else(|| payload.downcast_ref::<String>().cloned())
             .unwrap_or_default();
-        assert!(msg.contains("stealing worker"), "payload: {msg}");
+        assert!(msg.contains("pool worker"), "payload: {msg}");
     }
 
     /// A panic in `plan` must tear the barrier down and re-raise on the
     /// caller — not strand the workers on the phase condvar (the join at
     /// scope exit would then deadlock).
     #[test]
-    fn run_phased_stealing_plan_panics_propagate() {
+    fn run_phased_plan_panics_propagate() {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let mut phase = 0;
-            run_phased_stealing(
+            run_phased(
                 4,
                 vec![0u32; 8],
                 |_, _| {

@@ -194,21 +194,17 @@ fn deep_supervised_run_emits_valid_artifacts() {
         events.0
     );
 
-    // The stealing pool's metrics land in the manifest: the counters are
-    // registered up front (present even when a serial run never steals),
-    // and the effective-lookahead histogram gets one observation per
-    // scheduled window.
+    // The worker pool's metrics land in the manifest: the counters are
+    // registered up front (present even when a serial run has no idle
+    // time), and the effective-lookahead histogram gets one observation
+    // per scheduled window.
     let find = |name: &str| {
         entries.iter().find_map(|e| {
             let v = Value(e.clone());
             (v.get("name")?.0.as_str()? == name).then_some(v)
         })
     };
-    for name in [
-        "engine.steals",
-        "engine.worker_idle_ns",
-        "engine.part0.idle_ns",
-    ] {
+    for name in ["engine.worker_idle_ns", "engine.part0.idle_ns"] {
         let m = find(name).unwrap_or_else(|| panic!("{name} metric missing from RUNINFO"));
         assert_eq!(
             m.get("kind").expect("kind").0.as_str(),
