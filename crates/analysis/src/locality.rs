@@ -101,6 +101,26 @@ impl LocalityBreakdown {
             bytes: total,
         }
     }
+
+    /// The breakdown of per-locality byte sums, indexed by `locality as
+    /// usize` ([`Locality::ALL`] order).
+    fn from_bytes(bytes: [u64; 4]) -> LocalityBreakdown {
+        let total: u64 = bytes.iter().sum();
+        let pct = |l: Locality| {
+            if total == 0 {
+                0.0
+            } else {
+                bytes[l as usize] as f64 / total as f64 * 100.0
+            }
+        };
+        LocalityBreakdown {
+            rack: pct(Locality::IntraRack),
+            cluster: pct(Locality::IntraCluster),
+            datacenter: pct(Locality::IntraDatacenter),
+            inter_dc: pct(Locality::InterDatacenter),
+            bytes: total,
+        }
+    }
 }
 
 /// The full Table 3: overall locality plus one column per cluster type,
@@ -114,22 +134,31 @@ pub struct LocalityTable {
 }
 
 impl LocalityTable {
-    /// Builds Table 3 from a Scuba table. Each cluster-type column scans
-    /// the full table independently, so the columns fan out across the
-    /// process-default worker pool; [`sonet_util::par::map_indexed`]
-    /// returns them in [`ClusterType::ALL`] order regardless of thread
-    /// count, keeping the table deterministic.
+    /// Builds Table 3 from a Scuba table in one pass: each row adds its
+    /// bytes to a (source cluster type × locality) grid, and every
+    /// column — "All" included — is read off the grid. Byte sums are
+    /// integers, so the result does not depend on row order.
     pub fn of(table: &ScubaTable) -> LocalityTable {
-        let all = LocalityBreakdown::of(table);
+        let mut grid = [[0u64; 4]; ClusterType::ALL.len()];
+        for row in table.rows() {
+            grid[row.src_cluster_type as usize][row.locality as usize] += row.rec.bytes;
+        }
+        let mut all = [0u64; 4];
+        for bytes in &grid {
+            for (a, b) in all.iter_mut().zip(bytes) {
+                *a += b;
+            }
+        }
+        let all = LocalityBreakdown::from_bytes(all);
         let total = all.bytes.max(1);
-        let threads = sonet_util::par::resolve_threads(None);
-        let per_type = sonet_util::par::map_indexed(threads, ClusterType::ALL.len(), |i| {
-            let t = ClusterType::ALL[i];
-            let sub = table.filtered(|r| r.src_cluster_type == t);
-            let b = LocalityBreakdown::of(&sub);
-            let share = b.bytes as f64 / total as f64 * 100.0;
-            (t, b, share)
-        });
+        let per_type = ClusterType::ALL
+            .iter()
+            .map(|&t| {
+                let b = LocalityBreakdown::from_bytes(grid[t as usize]);
+                let share = b.bytes as f64 / total as f64 * 100.0;
+                (t, b, share)
+            })
+            .collect();
         LocalityTable { all, per_type }
     }
 }
@@ -336,6 +365,96 @@ mod tests {
             .find(|(ty, _, _)| *ty == ClusterType::Frontend)
             .expect("FE present");
         assert!((fe.2 - 100.0).abs() < 1e-9, "share {}", fe.2);
+    }
+
+    /// Table 3 computed column by column: one filtered copy and one
+    /// group-by per cluster type.
+    fn table3_by_columns(table: &ScubaTable) -> LocalityTable {
+        let all = LocalityBreakdown::of(table);
+        let total = all.bytes.max(1);
+        let per_type = ClusterType::ALL
+            .iter()
+            .map(|&t| {
+                let b = LocalityBreakdown::of(&table.filtered(|r| r.src_cluster_type == t));
+                (t, b, b.bytes as f64 / total as f64 * 100.0)
+            })
+            .collect();
+        LocalityTable { all, per_type }
+    }
+
+    #[test]
+    fn one_pass_table3_equals_the_column_by_column_table() {
+        use sonet_topology::{DatacenterSpec, SiteSpec};
+        use sonet_util::Rng;
+        let dc = || DatacenterSpec {
+            clusters: vec![
+                ClusterSpec::frontend(4, 4),
+                ClusterSpec::hadoop(3, 4),
+                ClusterSpec::cache(2, 4),
+                ClusterSpec::database(2, 4),
+                ClusterSpec::service(2, 4),
+            ],
+        };
+        let topo = Topology::build(TopologySpec {
+            sites: vec![
+                SiteSpec {
+                    datacenters: vec![dc()],
+                },
+                SiteSpec {
+                    datacenters: vec![dc()],
+                },
+            ],
+            ..TopologySpec::default()
+        })
+        .expect("valid");
+        // Every type but Database sends, so its column must read 0.
+        let senders: Vec<HostId> = topo
+            .hosts()
+            .iter()
+            .enumerate()
+            .filter(|(_, h)| topo.cluster(h.cluster).ctype != ClusterType::Database)
+            .map(|(i, _)| HostId(i as u32))
+            .collect();
+        let n_hosts = topo.hosts().len() as u64;
+        let mut rng = Rng::new(37);
+        let samples = (0..20_000)
+            .map(|_| {
+                let src = *rng.pick(&senders);
+                FlowRecord {
+                    at: SimTime::ZERO,
+                    capture_host: src,
+                    src,
+                    dst: HostId(rng.below(n_hosts) as u32),
+                    src_port: 1,
+                    dst_port: 2,
+                    bytes: 1 + rng.below(1 << 40),
+                    packets: 1,
+                }
+            })
+            .collect();
+        let table = Tagger::new(&topo).ingest(samples);
+        let got = LocalityTable::of(&table);
+        let want = table3_by_columns(&table);
+        assert_eq!(got.all, want.all);
+        assert_eq!(got.per_type, want.per_type);
+        let db = got
+            .per_type
+            .iter()
+            .find(|(t, _, _)| *t == ClusterType::Database)
+            .expect("every type has a column");
+        assert_eq!(db.1.bytes, 0);
+        assert_eq!(
+            (db.1.rack, db.1.cluster, db.1.datacenter, db.1.inter_dc),
+            (0.0, 0.0, 0.0, 0.0)
+        );
+        assert_eq!(db.2, 0.0);
+        // An empty table: every column and share is 0.
+        let empty = LocalityTable::of(&ScubaTable::default());
+        assert_eq!(empty.all, table3_by_columns(&ScubaTable::default()).all);
+        assert!(empty
+            .per_type
+            .iter()
+            .all(|(_, b, s)| b.bytes == 0 && *s == 0.0));
     }
 
     #[test]

@@ -177,9 +177,9 @@ fn bench_partitioned(topo: &Arc<Topology>, width: usize, fast: bool) -> (PartWid
 /// serially once on the packet engine and once with the flow-level fast
 /// path. Both runs must complete the same requests; the hybrid run just
 /// skips the per-packet event train to get there. Interleaved best-of-N
-/// in this process, like the obs bench: the hybrid leg finishes in
-/// milliseconds on the fast-mode plant, and a single noisy sample must
-/// not swing a ≥5× ratio gate.
+/// in this process: the hybrid leg finishes in milliseconds on the
+/// fast-mode plant, and a single noisy sample must not swing a ≥5×
+/// ratio gate.
 fn bench_hybrid(topo: &Arc<Topology>, fast: bool, rounds: u32) -> Hybrid {
     let run = |hybrid: bool| {
         let mut sim =
@@ -223,20 +223,44 @@ fn bench_hybrid(topo: &Arc<Topology>, fast: bool, rounds: u32) -> Hybrid {
     }
 }
 
+/// Wall seconds each obs-overhead leg is sized to reach: long enough
+/// that scheduler and cache noise is a small share of the timing.
+const OBS_MIN_LEG_SECS: f64 = 0.25;
+
+/// Paired off/summary rounds of the obs-overhead leg (odd, so the
+/// median is one round's value).
+const OBS_ROUNDS: usize = 7;
+
+/// The middle value of a non-empty `v` (the upper middle one for an
+/// even length).
+fn median(mut v: Vec<f64>) -> f64 {
+    v.sort_by(f64::total_cmp);
+    v[v.len() / 2]
+}
+
 /// Flight-recorder overhead: the same serial engine workload with the
-/// recorder off and at `--obs summary`, interleaved best-of-N in this
-/// process. Comparing sibling runs (not the committed baseline) keeps
-/// the ≤2% overhead gate insensitive to how fast the runner itself is.
-/// The summary leg streams a timeline (250 ms sim interval) so the ≤2%
-/// budget covers the snapshot path too; its cost is returned as the
-/// `obs_timeline` BENCH block.
-fn bench_obs_overhead(scale: ScenarioScale, sim_secs: u64, rounds: u32) -> (Obs, ObsTimeline) {
+/// recorder off and at `--obs summary`, in [`OBS_ROUNDS`] rounds in this
+/// process. Each round gives both legs the same number of engine runs,
+/// enough that a leg takes at least [`OBS_MIN_LEG_SECS`], alternating
+/// between the legs run by run so slow drift in the host hits both. The
+/// overhead is the median of the per-round paired overheads: comparing
+/// sibling runs (not the committed baseline) keeps the ≤2% gate
+/// insensitive to how fast the runner itself is, and the median keeps
+/// one noisy round from deciding it. The summary leg streams a timeline
+/// (250 ms sim interval) so the ≤2% budget covers the snapshot path too;
+/// its cost is returned as the `obs_timeline` BENCH block.
+fn bench_obs_overhead(scale: ScenarioScale, sim_secs: u64) -> (Obs, ObsTimeline) {
     let tl_path = std::env::temp_dir().join("sonet-bench-TIMELINE.jsonl");
-    let run_off = || {
-        let (events, secs) = bench_engine(scale, sim_secs);
-        per_sec(events, secs)
+    let mut tl = ObsTimeline {
+        snapshots: 0,
+        snapshot_us: 0.0,
+        bytes_per_min: 0.0,
     };
-    let run_summary = || {
+    // One engine run, with the recorder off or at summary.
+    let mut run = |summary: bool| {
+        if !summary {
+            return bench_engine(scale, sim_secs);
+        }
         obs::set_mode(ObsMode::Summary);
         obs::timeline::set_interval_ns(250_000_000);
         obs::timeline::install(&tl_path).expect("bench timeline install");
@@ -244,19 +268,6 @@ fn bench_obs_overhead(scale: ScenarioScale, sim_secs: u64, rounds: u32) -> (Obs,
         let stats = obs::timeline::finish(SimTime::from_secs(sim_secs).as_nanos());
         obs::set_mode(ObsMode::Off);
         obs::timeline::set_interval_ns(0);
-        (per_sec(events, secs), stats, secs)
-    };
-    let mut off = 0.0f64;
-    let mut summary = 0.0f64;
-    let mut tl = ObsTimeline {
-        snapshots: 0,
-        snapshot_us: 0.0,
-        bytes_per_min: 0.0,
-    };
-    for _ in 0..rounds {
-        off = off.max(run_off());
-        let (rate, stats, secs) = run_summary();
-        summary = summary.max(rate);
         if let Some(s) = stats {
             tl = ObsTimeline {
                 snapshots: s.snapshots,
@@ -264,12 +275,34 @@ fn bench_obs_overhead(scale: ScenarioScale, sim_secs: u64, rounds: u32) -> (Obs,
                 bytes_per_min: s.bytes as f64 / (secs.max(1e-9) / 60.0),
             };
         }
+        (events, secs)
+    };
+    // One untimed run warms caches and sizes the legs.
+    let (_, once) = run(false);
+    let reps = (OBS_MIN_LEG_SECS / once.max(1e-9)).ceil().max(1.0) as usize;
+    let (mut offs, mut summaries, mut overheads) = (Vec::new(), Vec::new(), Vec::new());
+    for round in 0..OBS_ROUNDS {
+        // [off, summary] events and seconds. Each pair of runs goes in
+        // the order the previous pair did not use.
+        let mut legs = [(0u64, 0.0f64); 2];
+        for i in 0..reps {
+            let first = (round + i) % 2;
+            for leg in [first, 1 - first] {
+                let (events, secs) = run(leg == 1);
+                legs[leg].0 += events;
+                legs[leg].1 += secs;
+            }
+        }
+        let [off, summary] = legs.map(|(events, secs)| per_sec(events, secs));
+        offs.push(off);
+        summaries.push(summary);
+        overheads.push((off - summary) / off.max(1e-9) * 100.0);
     }
     std::fs::remove_file(&tl_path).ok();
     let obs = Obs {
-        off_events_sec: off,
-        summary_events_sec: summary,
-        overhead_pct: (off - summary) / off.max(1e-9) * 100.0,
+        off_events_sec: median(offs),
+        summary_events_sec: median(summaries),
+        overhead_pct: median(overheads),
     };
     (obs, tl)
 }
@@ -364,11 +397,10 @@ fn main() -> ExitCode {
 
     // Flight-recorder overhead on the serial engine, off vs summary
     // with the streaming timeline on.
-    let rounds = if fast_mode() { 5 } else { 3 };
-    let (obs, obs_timeline) = bench_obs_overhead(scale, sim_secs, rounds);
+    let (obs, obs_timeline) = bench_obs_overhead(scale, sim_secs);
     println!(
-        "obs overhead: off {:.0} events/s, summary+timeline {:.0} events/s ({:+.2}%); \
-         timeline {} snapshots, {:.1}us/snapshot, {:.0} bytes/min",
+        "obs overhead: off {:.0} events/s, summary+timeline {:.0} events/s ({:+.2}%, median \
+         of {OBS_ROUNDS} paired rounds); timeline {} snapshots, {:.1}us/snapshot, {:.0} bytes/min",
         obs.off_events_sec,
         obs.summary_events_sec,
         obs.overhead_pct,

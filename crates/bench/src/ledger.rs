@@ -87,14 +87,16 @@ pub struct PartWidth {
 }
 
 /// Serial engine rate with the flight recorder off and at `--obs
-/// summary`, best of N interleaved rounds in one process.
+/// summary`, over N interleaved rounds in one process, each leg sized
+/// to a quarter second or more of engine work.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Obs {
-    /// Events/sec with the recorder off.
+    /// Median events/sec with the recorder off.
     pub off_events_sec: f64,
-    /// Events/sec at `--obs summary` with the timeline streaming.
+    /// Median events/sec at `--obs summary` with the timeline streaming.
     pub summary_events_sec: f64,
-    /// `(off - summary) / off × 100`; negative is noise.
+    /// Median over rounds of that round's `(off - summary) / off × 100`;
+    /// negative is noise.
     pub overhead_pct: f64,
 }
 

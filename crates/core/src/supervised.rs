@@ -582,11 +582,10 @@ fn drive_fleet(
             }
         }
     }
-    // Chunks are per-host; the one-shot path emits the same records then
-    // time-sorts them. The sort is stable and record order within equal
-    // timestamps is the per-host generation order either way, so the
-    // assembled table is byte-identical to an uninterrupted run's.
-    samples.sort_by_key(|r| r.at);
+    // Chunks are per-host, so `samples` is the one-shot path's stream
+    // before its sort; the same stable sort makes the assembled table
+    // byte-identical to an uninterrupted run's.
+    sonet_workload::fleet::sort_by_time(&mut samples);
     let data = FleetData::assemble(&cfg, topo, samples, model.relaxed_picks(), opts.threads);
     obs::timeline::finish(model.hosts_done() as u64);
     finish_runinfo(

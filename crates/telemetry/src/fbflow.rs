@@ -197,19 +197,24 @@ impl<'t> Tagger<'t> {
     /// is split into contiguous shards, tagged concurrently, and the
     /// shard tables merged back in stream order. Tagging is a pure
     /// per-record join, so the resulting table is byte-identical to the
-    /// serial `ingest` for every thread count.
+    /// serial `ingest` for every thread count. The first shard's table
+    /// is the result; only the later shards are copied, into it.
     pub fn ingest_sharded(&self, samples: &[FlowRecord], threads: usize) -> ScubaTable {
         sonet_util::obs::counter_add!("telemetry.samples_tagged", samples.len() as u64);
         let shards = sonet_util::par::split_ranges(threads, samples.len());
         let tables = sonet_util::par::map_indexed(threads, shards.len(), |s| {
-            ScubaTable::from_rows(
-                samples[shards[s].clone()]
-                    .iter()
-                    .map(|&r| self.tag(r))
-                    .collect(),
-            )
+            // Shard 0's rows become the result: room for every shard.
+            let cap = if s == 0 {
+                samples.len()
+            } else {
+                shards[s].len()
+            };
+            let mut rows = Vec::with_capacity(cap);
+            rows.extend(samples[shards[s].clone()].iter().map(|&r| self.tag(r)));
+            ScubaTable::from_rows(rows)
         });
-        let mut merged = ScubaTable::from_rows(Vec::with_capacity(samples.len()));
+        let mut tables = tables.into_iter();
+        let mut merged = tables.next().unwrap_or_default();
         for t in tables {
             merged.merge(t);
         }
@@ -324,6 +329,43 @@ mod tests {
         let (_, b) = run(0.25);
         assert_eq!(a.samples().len(), b.samples().len());
         assert_eq!(a.agent_dropped(), b.agent_dropped());
+    }
+
+    #[test]
+    fn sharded_ingest_equals_serial_ingest() {
+        let topo = topo();
+        let tagger = Tagger::new(&topo);
+        let hosts = topo.hosts().len() as u64;
+        let mut rng = Rng::new(31);
+        let mut stream = |n: usize| -> Vec<FlowRecord> {
+            (0..n)
+                .map(|i| {
+                    let src = HostId(rng.below(hosts) as u32);
+                    FlowRecord {
+                        at: SimTime::from_nanos(rng.below(1_000_000)),
+                        capture_host: src,
+                        src,
+                        dst: HostId(rng.below(hosts) as u32),
+                        src_port: i as u16,
+                        dst_port: 80,
+                        bytes: 1 + rng.below(10_000),
+                        packets: 1,
+                    }
+                })
+                .collect()
+        };
+        for samples in [stream(0), stream(1), stream(5), stream(1_001)] {
+            let serial = tagger.ingest(samples.clone());
+            for threads in [1, 2, 3, 8] {
+                let sharded = tagger.ingest_sharded(&samples, threads);
+                assert_eq!(
+                    sharded.rows(),
+                    serial.rows(),
+                    "{} samples at {threads} threads",
+                    samples.len()
+                );
+            }
+        }
     }
 
     #[test]

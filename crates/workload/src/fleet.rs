@@ -185,10 +185,61 @@ pub fn cluster_type_shares() -> [(sonet_topology::ClusterType, f64); 5] {
     ]
 }
 
+/// Sorts fleet samples by time, stably: records with equal `at` keep
+/// their input order, so the result equals `sort_by_key(|r| r.at)` on
+/// every input. Both the one-shot [`FleetModel::generate`] and a resumed
+/// supervised run sort their host-ordered stream with it, which keeps
+/// their tables byte-identical.
+///
+/// A counting sort on the high bits of `at - min`: one pass counts
+/// records per bucket (about one bucket per 16 records), a stable
+/// scatter moves each record into its bucket, and a stable sort inside
+/// each bucket orders the few records that share one. Buckets cover
+/// disjoint, increasing time ranges, so no record crosses a bucket
+/// boundary. Timestamps are spread over a day, so the buckets stay
+/// small and the whole sort is linear; its scratch is one copy of the
+/// records.
+pub fn sort_by_time(records: &mut Vec<FlowRecord>) {
+    /// Below this the comparison sort is as fast and needs no scratch.
+    const MIN_BUCKETED: usize = 64;
+    let n = records.len();
+    if n < MIN_BUCKETED {
+        records.sort_by_key(|r| r.at);
+        return;
+    }
+    let (lo, hi) = records.iter().fold((u64::MAX, 0), |(lo, hi), r| {
+        (lo.min(r.at.as_nanos()), hi.max(r.at.as_nanos()))
+    });
+    // 2^bucket_bits buckets, at least 4 since n >= 64; the shift keeps
+    // the top `bucket_bits` significant bits of the span, at most 62.
+    let bucket_bits = (n / 16).next_power_of_two().trailing_zeros();
+    let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bucket_bits);
+    let bucket = |r: &FlowRecord| ((r.at.as_nanos() - lo) >> shift) as usize;
+    // starts[b]..starts[b + 1] is bucket b's range in the output.
+    let mut starts = vec![0usize; (1 << bucket_bits) + 1];
+    for r in records.iter() {
+        starts[bucket(r) + 1] += 1;
+    }
+    for b in 1..starts.len() {
+        starts[b] += starts[b - 1];
+    }
+    let mut next = starts.clone();
+    let mut sorted = vec![records[0]; n];
+    for r in records.iter() {
+        let slot = &mut next[bucket(r)];
+        sorted[*slot] = *r;
+        *slot += 1;
+    }
+    for w in starts.windows(2) {
+        sorted[w[0]..w[1]].sort_by_key(|r| r.at);
+    }
+    *records = sorted;
+}
+
 /// A role's demand table with its weight prefix precomputed, so a sample
 /// costs one uniform draw and a short scan instead of rebuilding the
 /// weight vector per record.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct PreparedDemand {
     entries: Vec<DemandEntry>,
     total_weight: f64,
@@ -302,8 +353,11 @@ pub struct FleetModel {
     /// a pure function of `(topology, config, seed, h)` — independent of
     /// chunk boundaries, thread count, and every other host.
     base: Rng,
-    demand: HashMap<HostRole, PreparedDemand>,
-    picks: HashMap<HostRole, RoleIndex>,
+    /// Demand table per source role, indexed by `role as usize`
+    /// ([`HostRole::ALL`] order); empty for a role without one.
+    demand: Vec<PreparedDemand>,
+    /// Candidate index per destination role, indexed like `demand`.
+    picks: Vec<RoleIndex>,
     /// Bytes per sample for each host (role/cluster-type weighted).
     host_sample_bytes: Vec<f64>,
     /// Fallback counter: records whose desired locality had no candidate.
@@ -353,22 +407,21 @@ impl FleetModel {
             let host_total = cfg.total_bytes * share / hosts;
             host_sample_bytes.push(host_total / cfg.samples_per_host.max(1) as f64);
         }
-        let demand = demand_tables()
-            .into_iter()
-            .map(|(role, entries)| {
+        let mut tables = demand_tables();
+        let demand = HostRole::ALL
+            .iter()
+            .map(|role| {
+                let entries = tables.remove(role).unwrap_or_default();
                 let total_weight = entries.iter().map(|d| d.weight).sum();
-                (
-                    role,
-                    PreparedDemand {
-                        entries,
-                        total_weight,
-                    },
-                )
+                PreparedDemand {
+                    entries,
+                    total_weight,
+                }
             })
             .collect();
         let picks = HostRole::ALL
             .iter()
-            .map(|&role| (role, RoleIndex::build(&topo, role)))
+            .map(|&role| RoleIndex::build(&topo, role))
             .collect();
         FleetModel {
             topo,
@@ -431,23 +484,17 @@ impl FleetModel {
     }
 
     /// Generates the full sample stream (capture agent = the sender, so
-    /// bytes are counted once).
+    /// bytes are counted once), time-sorted by [`sort_by_time`].
     pub fn generate(&mut self) -> Vec<FlowRecord> {
-        let n_hosts = self.topo.hosts().len();
-        let mut out = Vec::with_capacity(
-            n_hosts.saturating_sub(self.next_host as usize) * self.cfg.samples_per_host as usize,
-        );
-        while !self.exhausted() {
-            out.extend(self.generate_chunk(u32::MAX));
-        }
-        out.sort_by_key(|r| r.at);
+        let mut out = self.generate_chunk(u32::MAX);
+        sort_by_time(&mut out);
         out
     }
 
     /// Emits the samples of up to `max_hosts` further hosts, advancing the
     /// cursor. Returns records in emission (host) order, **not** time
     /// order: a supervised run concatenates chunks across checkpoints and
-    /// applies the same stable time sort `generate` uses at the end, which
+    /// applies the same [`sort_by_time`] `generate` uses at the end, which
     /// makes a resumed run's stream identical to an uninterrupted one.
     ///
     /// The host range is sharded across a scoped worker pool. Every host
@@ -464,11 +511,15 @@ impl FleetModel {
         let shards = par::split_ranges(threads, span);
         let results: Vec<(Vec<FlowRecord>, u64)> = par::map_indexed(threads, shards.len(), |s| {
             let hosts = (first + shards[s].start) as u32..(first + shards[s].end) as u32;
-            self.generate_shard(hosts)
+            // The first shard's vector becomes the chunk, so it gets room
+            // for every shard; only the later shards are copied into it.
+            let cap = if s == 0 { span } else { hosts.len() } * self.cfg.samples_per_host as usize;
+            self.generate_shard(hosts, cap)
         });
         self.next_host = stop as u32;
-        let total: usize = results.iter().map(|(recs, _)| recs.len()).sum();
-        let mut out = Vec::with_capacity(total);
+        let mut results = results.into_iter();
+        let (mut out, relaxed) = results.next().unwrap_or_default();
+        self.relaxed += relaxed;
         for (recs, relaxed) in results {
             out.extend(recs);
             self.relaxed += relaxed;
@@ -476,11 +527,16 @@ impl FleetModel {
         out
     }
 
-    /// Emits the samples of one contiguous host shard. Immutable on
-    /// `self`, so shards run concurrently; returns the shard's records
-    /// (host order) and its relaxed-pick count.
-    fn generate_shard(&self, hosts: std::ops::Range<u32>) -> (Vec<FlowRecord>, u64) {
-        let mut out = Vec::with_capacity(hosts.len() * self.cfg.samples_per_host as usize);
+    /// Emits the samples of one contiguous host shard into a vector of
+    /// `capacity`. Immutable on `self`, so shards run concurrently;
+    /// returns the shard's records (host order) and its relaxed-pick
+    /// count.
+    fn generate_shard(
+        &self,
+        hosts: std::ops::Range<u32>,
+        capacity: usize,
+    ) -> (Vec<FlowRecord>, u64) {
+        let mut out = Vec::with_capacity(capacity);
         let mut relaxed = 0u64;
         for h in hosts {
             let src = HostId(h);
@@ -496,7 +552,7 @@ impl FleetModel {
 
     fn one_sample(&self, src: HostId, rng: &mut Rng, relaxed: &mut u64) -> Option<FlowRecord> {
         let role = self.topo.host(src).role;
-        let prep = self.demand.get(&role)?;
+        let prep = &self.demand[role as usize];
         // Weighted entry pick, same single-draw semantics as
         // `Rng::pick_weighted` but against the precomputed total.
         let mut target = rng.f64() * prep.total_weight;
@@ -604,7 +660,7 @@ impl FleetModel {
         rng: &mut Rng,
     ) -> Option<HostId> {
         let info = self.topo.host(src);
-        let idx = self.picks.get(&role)?;
+        let idx = &self.picks[role as usize];
         match locality {
             Locality::IntraRack => idx.pick_skipping(rng, idx.rack[info.rack.index()], src),
             Locality::IntraCluster => idx.pick_minus(
@@ -665,7 +721,9 @@ mod tests {
     #[test]
     fn demand_tables_cover_all_roles_and_normalize() {
         let t = demand_tables();
-        for role in HostRole::ALL {
+        for (i, role) in HostRole::ALL.into_iter().enumerate() {
+            // The model's dense per-role tables index by `role as usize`.
+            assert_eq!(role as usize, i, "{role} out of ALL order");
             let rows = t.get(&role).unwrap_or_else(|| panic!("missing {role}"));
             let sum: f64 = rows.iter().map(|r| r.weight).sum();
             assert!(sum > 0.0, "{role} empty");
@@ -784,6 +842,63 @@ mod tests {
                 got, baseline,
                 "threads {threads:?} chunk {chunk} must not change the stream"
             );
+        }
+    }
+
+    /// `n` records with timestamps from `at` and unique `bytes`, so any
+    /// reordering of equal timestamps shows.
+    fn records(n: usize, mut at: impl FnMut(usize) -> u64) -> Vec<FlowRecord> {
+        (0..n)
+            .map(|i| FlowRecord {
+                at: SimTime::from_nanos(at(i)),
+                capture_host: HostId(0),
+                src: HostId(0),
+                dst: HostId(1),
+                src_port: 0,
+                dst_port: 0,
+                bytes: i as u64,
+                packets: 1,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn sort_by_time_matches_the_std_stable_sort() {
+        let mut rng = Rng::new(29);
+        let day = SimDuration::from_secs(86_400).as_nanos();
+        let values: Vec<u64> = (0..50).map(|_| rng.below(day)).collect();
+        let cases: Vec<(&str, Vec<FlowRecord>)> = vec![
+            ("empty", Vec::new()),
+            ("single", records(1, |_| 7)),
+            ("short", records(40, |_| rng.below(100))),
+            (
+                "50 distinct over 100k",
+                records(100_000, |_| values[rng.below(50) as usize]),
+            ),
+            ("uniform day", records(20_000, |_| rng.below(day))),
+            ("all equal", records(5_000, |_| 123_456)),
+            (
+                "zero and near u64::MAX",
+                records(5_000, |i| match i % 4 {
+                    0 => 0,
+                    1 => u64::MAX,
+                    2 => u64::MAX - rng.below(1_000),
+                    _ => rng.next_u64(),
+                }),
+            ),
+            ("zero to one", records(5_000, |_| rng.below(2))),
+            ("already sorted", records(5_000, |i| i as u64 / 3)),
+            ("reversed", records(5_000, |i| (5_000 - i) as u64 / 3)),
+        ];
+        for (name, input) in cases {
+            let mut want = input.clone();
+            want.sort_by_key(|r| r.at);
+            let mut got = input;
+            sort_by_time(&mut got);
+            assert_eq!(got.len(), want.len(), "{name}");
+            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                assert_eq!(g, w, "{name}: record {i} differs");
+            }
         }
     }
 
