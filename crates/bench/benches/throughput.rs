@@ -40,13 +40,16 @@ fn per_sec(n: u64, secs: f64) -> f64 {
 }
 
 /// Engine throughput: drive the packet-tier workload on its plant for a
-/// few simulated seconds and count calendar events per wall second.
+/// few simulated seconds and count calendar events per wall second. The
+/// engine runs at width 1 whatever `--threads` says, so the leg times the
+/// serial calendar and handlers, not worker hand-offs at each barrier.
 fn bench_engine(scale: ScenarioScale, sim_secs: u64) -> (u64, f64) {
     let topo = Arc::new(Topology::build(packet_tier_spec(scale)).expect("preset spec"));
     let mut workload = Workload::new(Arc::clone(&topo), ServiceProfiles::default(), BENCH_SEED)
         .expect("preset workload");
     let mut sim =
         Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap).expect("preset sim");
+    sim.set_parallel_width(Some(1));
     let start = Instant::now();
     for s in 1..=sim_secs {
         let t = SimTime::from_secs(s);

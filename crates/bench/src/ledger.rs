@@ -25,7 +25,7 @@ pub struct Bench {
     /// True for a `SONET_BENCH_FAST=1` (tiny-plant) run.
     pub fast: bool,
     /// Calendar events of the serial packet-tier leg (workload
-    /// generation and engine drain timed together).
+    /// generation and engine drain timed together, engine at width 1).
     pub engine_events: u64,
     /// Wall seconds of that leg.
     pub engine_secs: f64,

@@ -1263,7 +1263,7 @@ pub fn fig15(cfg: &Fig15Config) -> Result<Fig15Report, ReportError> {
     let corr = pearson(&web_max, &web_util);
     // A single egress queue saturates at alpha/(1+alpha) of the shared
     // pool under DT admission; "near the limit" means near that ceiling.
-    let dt_ceiling = cfg.rsw_buffer.alpha / (1.0 + cfg.rsw_buffer.alpha);
+    let dt_ceiling = cfg.rsw_buffer.dt_ceiling();
     let microburst_seconds = web_max
         .iter()
         .zip(web_util.iter().chain(std::iter::repeat(&0.0)))

@@ -38,6 +38,13 @@ impl BufferConfig {
             alpha: 2.0,
         }
     }
+
+    /// Largest share of the pool one egress queue can hold under DT
+    /// admission: a lone queue stops growing once its backlog reaches
+    /// `alpha ×` the free remainder, at `alpha / (1 + alpha)` of the pool.
+    pub fn dt_ceiling(&self) -> f64 {
+        self.alpha / (1.0 + self.alpha)
+    }
 }
 
 /// Engine-wide configuration.

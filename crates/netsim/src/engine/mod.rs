@@ -2282,6 +2282,23 @@ impl<T: PacketTap> Simulator<T> {
         if keys.windows(2).any(|w| w[0] == w[1]) {
             return bad("two calendar entries share one event key");
         }
+        // The fast calendar is monotone too, and its `(at, seq)` key is
+        // its only order: an entry in the past, from the future of the
+        // sequence counter, or under a shared key would apply out of order.
+        for ev in &ckpt.fast.events {
+            if ev.at < ckpt.now {
+                return bad("fast-path event before the checkpointed clock");
+            }
+            if ev.seq >= ckpt.fast.seq {
+                return bad("fast-path event with an unissued sequence number");
+            }
+        }
+        let mut fast_keys: Vec<(SimTime, u64)> =
+            ckpt.fast.events.iter().map(|e| (e.at, e.seq)).collect();
+        fast_keys.sort_unstable();
+        if fast_keys.windows(2).any(|w| w[0] == w[1]) {
+            return bad("two fast-path events share one event key");
+        }
 
         sim.coord.now = ckpt.now;
         sim.coord.ext_seq = ckpt.ext_seq;

@@ -171,7 +171,7 @@ impl Scheduled {
     }
 }
 
-/// An event a [`Calendar`] can hold: a small ordered heap entry plus a
+/// An event a [`Calendar`] can hold: a small ordered key entry plus a
 /// payload parked in the calendar's slab.
 pub(crate) trait CalendarEvent: Sized {
     /// The event's key with its slab slot appended, as one flat tuple:
@@ -185,13 +185,36 @@ pub(crate) trait CalendarEvent: Sized {
     fn at(entry: &Self::Entry) -> SimTime;
 }
 
-/// An event calendar: a binary min-heap of key entries over a slab of
-/// payloads. Sifting moves only the keys; a payload is written once on
-/// push and read once on pop. Freed slots are reused last-in first-out,
-/// so the hottest slab slot is the next one filled. Events pop in key
-/// order; keys are unique per calendar, so the slot never decides.
+/// Radix buckets of a [`Calendar`]: one per bit of a 64-bit `at`.
+const BUCKETS: usize = 64;
+
+/// An event calendar: a monotone radix queue of key entries over a slab
+/// of payloads. The queue moves only the keys; a payload is written once
+/// on push and read once on pop. Freed slots are reused last-in
+/// first-out, so the hottest slab slot is the next one filled.
+///
+/// Time is monotone: a push is never earlier than the last pop (`last`).
+/// An entry with `at > last` is filed in bucket `b`, the highest set bit
+/// of `at ^ last`, so every entry of a lower bucket is earlier than every
+/// entry of a higher one and each bucket records its own minimum `at`.
+/// Entries at exactly `last` wait in a small heap ordered by the full
+/// entry. A pop that finds that heap empty advances `last` to the lowest
+/// non-empty bucket's minimum and re-files that bucket — each entry
+/// lands strictly lower, so it is moved at most 64 times in its life.
+/// Events pop in key order; keys are unique per calendar, so the slot
+/// never decides.
 pub(crate) struct Calendar<E: CalendarEvent> {
-    heap: BinaryHeap<Reverse<E::Entry>>,
+    /// Entries at exactly `last`, in key order.
+    ties: BinaryHeap<Reverse<E::Entry>>,
+    /// Entries later than `last`, filed by the highest bit of
+    /// `at ^ last`. A re-filed bucket keeps its own capacity.
+    buckets: [Vec<E::Entry>; BUCKETS],
+    /// Smallest `at` of each bucket whose bit is set in `occupied`.
+    mins: [SimTime; BUCKETS],
+    occupied: u64,
+    /// Time of the last pop: no push may be earlier.
+    last: SimTime,
+    len: usize,
     slab: Vec<Option<E::Payload>>,
     free: Vec<u32>,
 }
@@ -199,7 +222,12 @@ pub(crate) struct Calendar<E: CalendarEvent> {
 impl<E: CalendarEvent> Default for Calendar<E> {
     fn default() -> Self {
         Calendar {
-            heap: BinaryHeap::new(),
+            ties: BinaryHeap::new(),
+            buckets: std::array::from_fn(|_| Vec::new()),
+            mins: [SimTime::ZERO; BUCKETS],
+            occupied: 0,
+            last: SimTime::ZERO,
+            len: 0,
             slab: Vec::new(),
             free: Vec::new(),
         }
@@ -207,24 +235,72 @@ impl<E: CalendarEvent> Default for Calendar<E> {
 }
 
 impl<E: CalendarEvent> Calendar<E> {
+    /// Schedules `ev`.
+    ///
+    /// # Panics
+    ///
+    /// If `ev` is earlier than the last popped event: the engine never
+    /// schedules into the past, so such a push is a broken invariant.
     pub(crate) fn push(&mut self, ev: E) {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slab.push(None);
             u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 pending events")
         });
         let (entry, payload) = ev.split(slot);
+        assert!(
+            E::at(&entry) >= self.last,
+            "calendar push before the last popped time"
+        );
         self.slab[slot as usize] = Some(payload);
-        self.heap.push(Reverse(entry));
+        self.file(entry);
+        self.len += 1;
+    }
+
+    /// Files `entry` (never earlier than `last`) by its radix bucket.
+    fn file(&mut self, entry: E::Entry) {
+        let at = E::at(&entry);
+        let diff = at.as_nanos() ^ self.last.as_nanos();
+        if diff == 0 {
+            self.ties.push(Reverse(entry));
+            return;
+        }
+        let b = 63 - diff.leading_zeros() as usize;
+        let bit = 1u64 << b;
+        if self.occupied & bit == 0 || at < self.mins[b] {
+            self.mins[b] = at;
+        }
+        self.occupied |= bit;
+        self.buckets[b].push(entry);
     }
 
     /// Time of the earliest event.
     pub(crate) fn peek_at(&self) -> Option<SimTime> {
-        self.heap.peek().map(|r| E::at(&r.0))
+        if !self.ties.is_empty() {
+            Some(self.last)
+        } else if self.occupied != 0 {
+            Some(self.mins[self.occupied.trailing_zeros() as usize])
+        } else {
+            None
+        }
     }
 
     /// Removes and returns the earliest event.
     pub(crate) fn pop(&mut self) -> Option<E> {
-        let Reverse(entry) = self.heap.pop()?;
+        if self.ties.is_empty() {
+            if self.occupied == 0 {
+                return None;
+            }
+            let b = self.occupied.trailing_zeros() as usize;
+            self.occupied &= !(1u64 << b);
+            self.last = self.mins[b];
+            let mut bucket = std::mem::take(&mut self.buckets[b]);
+            for entry in bucket.drain(..) {
+                self.file(entry);
+            }
+            self.buckets[b] = bucket;
+        }
+        let Reverse(entry) = self.ties.pop().expect("re-filed the earliest bucket");
+        self.len -= 1;
         let slot = E::slot(&entry);
         self.free.push(slot);
         let payload = self.slab[slot as usize].take().expect("live slot");
@@ -232,7 +308,7 @@ impl<E: CalendarEvent> Calendar<E> {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.heap.len()
+        self.len
     }
 
     /// Copies of the pending events, in no particular order.
@@ -240,10 +316,14 @@ impl<E: CalendarEvent> Calendar<E> {
     where
         E::Payload: Clone,
     {
-        self.heap.iter().map(|r| {
-            let payload = self.slab[E::slot(&r.0) as usize].clone();
-            E::join(r.0, payload.expect("live slot"))
-        })
+        self.ties
+            .iter()
+            .map(|r| r.0)
+            .chain(self.buckets.iter().flatten().copied())
+            .map(|entry| {
+                let payload = self.slab[E::slot(&entry) as usize].clone();
+                E::join(entry, payload.expect("live slot"))
+            })
     }
 }
 
@@ -1580,15 +1660,27 @@ mod tests {
         let mut oracle: Vec<(EvKey, u32)> = Vec::new();
         let srcs = [0, 1, 7, EXT_SRC];
         let mut seqs = [0u64; 4];
+        // Time of the last pop: the calendar's monotone floor.
+        let mut last = 0u64;
         let mut peak = 0;
+        let mut top_bucket = false;
         for tag in 0..20_000u32 {
             // Pushes lead pops early on, then trail, so the calendar grows,
             // shrinks and regrows through freed slots.
             let push_odds = if tag < 10_000 { 0.6 } else { 0.4 };
             if oracle.is_empty() || rng.chance(push_odds) {
-                // Few distinct instants, so many keys tie on `at` across
-                // sources and only `src` or `seq` orders them.
-                let at = SimTime::from_nanos(rng.below(50));
+                // Mostly a few instants at or just past the last pop, so
+                // many keys tie on `at` across sources and only `src` or
+                // `seq` orders them; now and then a jump that may flip any
+                // bit of the clock, up to its top.
+                let at = if rng.chance(0.02) {
+                    let reach = u64::MAX >> rng.below(64);
+                    rng.range_inclusive(last, last | reach)
+                } else {
+                    last.saturating_add(rng.below(4))
+                };
+                top_bucket |= (at ^ last) >> 62 != 0;
+                let at = SimTime::from_nanos(at);
                 let si = rng.below(srcs.len() as u64) as usize;
                 let (src, seq) = (srcs[si], seqs[si]);
                 seqs[si] += 1;
@@ -1605,6 +1697,7 @@ mod tests {
                 let got = cal.pop().expect("oracle is non-empty");
                 assert_eq!(got.key(), key);
                 assert!(matches!(got.ev, Ev::Release { link, .. } if link == want));
+                last = key.0.as_nanos();
             }
             assert_eq!(cal.len(), oracle.len());
             assert_eq!(cal.peek_at(), oracle.first().map(|(k, _)| k.0));
@@ -1622,10 +1715,27 @@ mod tests {
                 assert_eq!(pending, oracle);
             }
         }
+        assert!(top_bucket, "some push filed in the top buckets");
         for (key, _) in oracle {
             assert_eq!(cal.pop().map(|s| s.key()), Some(key));
         }
         assert!(cal.pop().is_none());
         assert_eq!(cal.len(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "calendar push before the last popped time")]
+    fn calendar_rejects_a_push_before_the_last_pop() {
+        let release = |at, seq| Scheduled {
+            at: SimTime::from_nanos(at),
+            src: 0,
+            seq,
+            ev: Ev::Release { link: 0, bytes: 0 },
+        };
+        let mut cal: Calendar<Scheduled> = Calendar::default();
+        cal.push(release(10, 0));
+        cal.push(release(20, 1));
+        assert_eq!(cal.pop().map(|s| s.key()), Some(release(10, 0).key()));
+        cal.push(release(9, 2));
     }
 }

@@ -1362,6 +1362,72 @@ fn restore_rejects_corrupt_hosts_and_routes() {
     }
 }
 
+/// A hybrid plant with staggered cross-rack messages, checkpointed while
+/// its fast calendar holds at least two events; the checkpoint restores
+/// as it stands, so each forgery below is what a rejection rejects.
+fn hybrid_checkpoint(topo: &Arc<Topology>) -> EngineCheckpoint {
+    let mut sim =
+        Simulator::new(Arc::clone(topo), SimConfig::default(), NullTap).expect("valid config");
+    sim.set_fidelity(FidelityConfig::hybrid()).expect("hybrid");
+    for i in 0..4u64 {
+        let a = topo.racks()[i as usize % 3].hosts[0];
+        let b = topo.racks()[3].hosts[1];
+        let conn = sim
+            .open_connection(SimTime::from_micros(i * 50), a, b, 3306)
+            .expect("open");
+        for m in 0..3 {
+            let at = SimTime::from_micros(i * 50 + m * 200);
+            sim.send_message(conn, at, 400, 5_000, SimDuration::from_micros(80))
+                .expect("send");
+        }
+    }
+    sim.run_until(SimTime::from_micros(60));
+    let ckpt = sim.checkpoint();
+    assert!(
+        ckpt.fast.events.len() >= 2,
+        "the fast calendar must hold events to forge"
+    );
+    Simulator::restore(Arc::clone(topo), NullTap, ckpt.clone()).expect("unforged restore");
+    ckpt
+}
+
+fn assert_restore_rejects(topo: &Arc<Topology>, ckpt: EngineCheckpoint, expected: &str) {
+    match Simulator::restore(Arc::clone(topo), NullTap, ckpt) {
+        Err(SimError::Config(msg)) => assert!(msg.contains(expected), "{msg}"),
+        Err(other) => panic!("expected Config error, got {other:?}"),
+        Ok(_) => panic!("expected Config error, got a restored simulator"),
+    }
+}
+
+#[test]
+fn restore_rejects_fast_event_before_the_clock() {
+    let topo = two_cluster_topo();
+    let mut ckpt = hybrid_checkpoint(&topo);
+    ckpt.fast.events[1].at = SimTime::from_nanos(ckpt.now.as_nanos() - 1);
+    assert_restore_rejects(&topo, ckpt, "fast-path event before the checkpointed clock");
+}
+
+#[test]
+fn restore_rejects_fast_event_with_unissued_seq() {
+    let topo = two_cluster_topo();
+    let mut ckpt = hybrid_checkpoint(&topo);
+    ckpt.fast.events[0].seq = ckpt.fast.seq;
+    assert_restore_rejects(
+        &topo,
+        ckpt,
+        "fast-path event with an unissued sequence number",
+    );
+}
+
+#[test]
+fn restore_rejects_fast_events_sharing_a_key() {
+    let topo = two_cluster_topo();
+    let mut ckpt = hybrid_checkpoint(&topo);
+    let (at, seq) = (ckpt.fast.events[0].at, ckpt.fast.events[0].seq);
+    (ckpt.fast.events[1].at, ckpt.fast.events[1].seq) = (at, seq);
+    assert_restore_rejects(&topo, ckpt, "two fast-path events share one event key");
+}
+
 #[test]
 fn audit_holds_throughout_a_run() {
     let topo = two_cluster_topo();
