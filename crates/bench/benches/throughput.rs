@@ -16,11 +16,12 @@
 //! SONET_BENCH_FAST=1 cargo bench -p sonet-bench --bench throughput
 //! ```
 //!
-//! `--threads N` (or `SONET_THREADS=N`) sets the worker-pool width; the
-//! outputs are byte-identical for every value, only the rates move.
+//! `--threads N` (or `SONET_THREADS=N`) sets the fleet leg's shard
+//! fan-out; every engine leg runs serially. The outputs are
+//! byte-identical for every value, only the rates move.
 //! `SONET_BENCH_OUT` overrides the output path (default `BENCH.json`).
 
-use sonet_bench::ledger::{self, Bench, Hybrid, Obs, ObsTimeline, PartWidth, Partitioned};
+use sonet_bench::ledger::{self, Bench, Hybrid, Obs, ObsTimeline, Partitioned};
 use sonet_bench::{banner, fast_mode, BENCH_SEED};
 use sonet_core::reports;
 use sonet_core::scenario::{packet_tier_spec, ScenarioScale};
@@ -40,16 +41,13 @@ fn per_sec(n: u64, secs: f64) -> f64 {
 }
 
 /// Engine throughput: drive the packet-tier workload on its plant for a
-/// few simulated seconds and count calendar events per wall second. The
-/// engine runs at width 1 whatever `--threads` says, so the leg times the
-/// serial calendar and handlers, not worker hand-offs at each barrier.
+/// few simulated seconds and count calendar events per wall second.
 fn bench_engine(scale: ScenarioScale, sim_secs: u64) -> (u64, f64) {
     let topo = Arc::new(Topology::build(packet_tier_spec(scale)).expect("preset spec"));
     let mut workload = Workload::new(Arc::clone(&topo), ServiceProfiles::default(), BENCH_SEED)
         .expect("preset workload");
     let mut sim =
         Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap).expect("preset sim");
-    sim.set_parallel_width(Some(1));
     let start = Instant::now();
     for s in 1..=sim_secs {
         let t = SimTime::from_secs(s);
@@ -140,38 +138,23 @@ fn seed_locality_mix(sim: &mut Simulator<NullTap>, topo: &Arc<Topology>, fast: b
     horizon
 }
 
-/// Partitioned capture-tier throughput at one worker width, driven
-/// through one `run_until` horizon. The workload is identical for every
-/// width — so are all outputs; only the wall clock moves.
-fn bench_partitioned(topo: &Arc<Topology>, width: usize, fast: bool) -> (PartWidth, String) {
+/// Partitioned capture-tier throughput, driven through one `run_until`
+/// horizon.
+fn bench_partitioned(topo: &Arc<Topology>, fast: bool) -> Partitioned {
     let mut sim =
         Simulator::new(Arc::clone(topo), SimConfig::default(), NullTap).expect("bench sim");
-    sim.set_parallel_width(Some(width));
     let horizon = seed_locality_mix(&mut sim, topo, fast);
     let start = Instant::now();
     sim.run_until(horizon);
     let secs = start.elapsed().as_secs_f64();
     let events = sim.processed_events();
-    let stats = sim.parallel_stats();
-    let util = if stats.wall_ns > 0 {
-        stats.busy_ns as f64 / (width as f64 * stats.wall_ns as f64)
-    } else {
-        1.0
-    };
-    let partitions = sim.partitions();
-    let (out, _) = sim.finish();
-    (
-        PartWidth {
-            threads: width,
-            events,
-            secs,
-            rate: per_sec(events, secs),
-            barriers: stats.barriers,
-            partitions,
-            barrier_util: util,
-        },
-        serde_json::to_string(&out).expect("json"),
-    )
+    Partitioned {
+        partitions: sim.partitions(),
+        events,
+        secs,
+        rate: per_sec(events, secs),
+        barriers: sim.parallel_stats().barriers,
+    }
 }
 
 /// Hybrid fast-path speedup: the locality-mix bulk workload — no
@@ -187,7 +170,6 @@ fn bench_hybrid(topo: &Arc<Topology>, fast: bool, rounds: u32) -> Hybrid {
     let run = |hybrid: bool| {
         let mut sim =
             Simulator::new(Arc::clone(topo), SimConfig::default(), NullTap).expect("bench sim");
-        sim.set_parallel_width(Some(1));
         if hybrid {
             sim.set_fidelity(FidelityConfig::hybrid())
                 .expect("fidelity");
@@ -356,35 +338,19 @@ fn main() -> ExitCode {
 
     let (engine_events, engine_secs) = bench_engine(scale, sim_secs);
 
-    // Partitioned engine: the same locality-mix workload at widths 1, 2,
-    // 8. Outputs must not move by a byte; only the wall clock may.
+    // Partitioned engine: the locality-mix workload on four datacenters.
     let four_dc = four_dc_topo(fast_mode());
-    let mut widths = Vec::new();
-    let mut golden: Option<String> = None;
-    for width in [1usize, 2, 8] {
-        let (pw, out) = bench_partitioned(&four_dc, width, fast_mode());
-        match &golden {
-            None => golden = Some(out),
-            Some(g) => assert_eq!(g, &out, "width {width} changed the outputs"),
-        }
-        println!(
-            "partitioned width {}: {:.0} events/s ({} events / {:.2}s), {} barriers, \
-             barrier util {:.2}",
-            pw.threads, pw.rate, pw.events, pw.secs, pw.barriers, pw.barrier_util,
-        );
-        widths.push(pw);
-    }
-    let (w1, wn) = (&widths[0], &widths[widths.len() - 1]);
-    let partitioned = Partitioned {
-        partitions: wn.partitions,
-        cores: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(1),
-        speedup_max_over_w1: wn.rate / w1.rate.max(1e-9),
-        widths,
-    };
+    let partitioned = bench_partitioned(&four_dc, fast_mode());
+    println!(
+        "partitioned: {:.0} events/s ({} events / {:.2}s), {} partitions, {} barriers",
+        partitioned.rate,
+        partitioned.events,
+        partitioned.secs,
+        partitioned.partitions,
+        partitioned.barriers,
+    );
 
-    // Hybrid fidelity vs packet on the same bulk mix, both width 1.
+    // Hybrid fidelity vs packet on the same bulk mix.
     let hybrid = bench_hybrid(&four_dc, fast_mode(), if fast_mode() { 5 } else { 3 });
     println!(
         "hybrid fidelity: packet {} events / {:.2}s, hybrid {} events / {:.2}s, \
@@ -398,7 +364,7 @@ fn main() -> ExitCode {
         hybrid.equiv_events_sec,
     );
 
-    // Flight-recorder overhead on the serial engine, off vs summary
+    // Flight-recorder overhead on the engine, off vs summary
     // with the streaming timeline on.
     let (obs, obs_timeline) = bench_obs_overhead(scale, sim_secs);
     println!(

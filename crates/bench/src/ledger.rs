@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ledger format version, written as `"schema"`.
-pub const SCHEMA: u32 = 7;
+pub const SCHEMA: u32 = 8;
 
 /// The committed baseline ledger (`crates/bench/BENCH-baseline.json`)
 /// that the two floors compare against.
@@ -20,12 +20,13 @@ pub const BASELINE: &str = include_str!("../BENCH-baseline.json");
 pub struct Bench {
     /// Always [`SCHEMA`].
     pub schema: u32,
-    /// Resolved worker-pool width of the run.
+    /// Resolved `--threads` of the run (it sizes the fleet leg's shard
+    /// fan-out; every engine leg is serial).
     pub threads: usize,
     /// True for a `SONET_BENCH_FAST=1` (tiny-plant) run.
     pub fast: bool,
-    /// Calendar events of the serial packet-tier leg (workload
-    /// generation and engine drain timed together, engine at width 1).
+    /// Calendar events of the packet-tier leg (workload generation and
+    /// engine drain timed together).
     pub engine_events: u64,
     /// Wall seconds of that leg.
     pub engine_secs: f64,
@@ -51,24 +52,12 @@ pub struct Bench {
     pub hybrid: Hybrid,
 }
 
-/// The partitioned engine at widths 1, 2 and 8 on the same workload.
+/// The partitioned engine, draining its partitions serially, on a
+/// pre-seeded workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Partitioned {
     /// Partition count: one per datacenter.
     pub partitions: usize,
-    /// `std::thread::available_parallelism` of the bench process.
-    pub cores: usize,
-    /// One entry per width, narrowest first.
-    pub widths: Vec<PartWidth>,
-    /// Widest width's `rate` over width 1's.
-    pub speedup_max_over_w1: f64,
-}
-
-/// One width's partitioned-engine measurement.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PartWidth {
-    /// Worker-pool width.
-    pub threads: usize,
     /// Calendar events processed.
     pub events: u64,
     /// Wall seconds of the `run_until` drain.
@@ -77,13 +66,6 @@ pub struct PartWidth {
     pub rate: f64,
     /// Window barriers crossed.
     pub barriers: u64,
-    /// Partition count: one per datacenter.
-    pub partitions: usize,
-    /// Measured worker utilization: wall time the pool's workers spent
-    /// draining calendars divided by (width × the pool's elapsed wall
-    /// time across all windows). 1.0 = no idle gaps; low values mean
-    /// workers starved waiting at barriers.
-    pub barrier_util: f64,
 }
 
 /// Serial engine rate with the flight recorder off and at `--obs
@@ -177,19 +159,11 @@ fn check(name: &'static str, pass: bool, detail: String) -> Gate {
     }
 }
 
-/// Width 1's partitioned rate; a missing leg reads as 0 and fails its
-/// floor.
-fn w1_rate(b: &Bench) -> f64 {
-    let w1 = b.partitioned.widths.iter().find(|w| w.threads == 1);
-    w1.map_or(0.0, |w| w.rate)
-}
-
-/// Checks `current` against the six bounds, two of them relative to
+/// Checks `current` against the five bounds, two of them relative to
 /// `baseline`, in a fixed order.
 ///
 /// The baseline floors only compare like with like: when the run's
-/// `fast` or `threads` differ from the baseline's they SKIP. The width-8
-/// speedup needs real cores under the workers and SKIPs below 4. The
+/// `fast` or `threads` differ from the baseline's they SKIP. The
 /// overhead and hybrid gates compare sibling runs inside one process, so
 /// they hold on any machine.
 pub fn gates(current: &Bench, baseline: &Bench) -> Vec<Gate> {
@@ -213,21 +187,6 @@ pub fn gates(current: &Bench, baseline: &Bench) -> Vec<Gate> {
             format!("{c:.0} against floor {min:.0} (0.7 x baseline {b:.0})"),
         )
     };
-    let cores = current.partitioned.cores;
-    let speedup = current.partitioned.speedup_max_over_w1;
-    let width8 = if cores < 4 {
-        Gate {
-            name: "width-8 speedup",
-            verdict: Verdict::Skip,
-            detail: format!("needs >=4 cores, ran on {cores}; measured {speedup:.2}x"),
-        }
-    } else {
-        check(
-            "width-8 speedup",
-            speedup >= 1.5,
-            format!("{speedup:.2}x (min 1.5x) on {cores} cores"),
-        )
-    };
     let (o, t, h) = (&current.obs, &current.obs_timeline, &current.hybrid);
     vec![
         floor(
@@ -235,8 +194,11 @@ pub fn gates(current: &Bench, baseline: &Bench) -> Vec<Gate> {
             current.events_per_sec,
             baseline.events_per_sec,
         ),
-        floor("partitioned w1 rate", w1_rate(current), w1_rate(baseline)),
-        width8,
+        floor(
+            "partitioned w1 rate",
+            current.partitioned.rate,
+            baseline.partitioned.rate,
+        ),
         check(
             "obs summary overhead",
             o.overhead_pct <= 2.0,
@@ -313,14 +275,14 @@ mod tests {
     fn ledger_round_trips() {
         let mut b = baseline();
         b.events_per_sec = 1234567.891_234_5;
-        b.partitioned.speedup_max_over_w1 = 1.0 / 3.0;
+        b.partitioned.rate = 1.0 / 3.0;
         let text = serde_json::to_string_pretty(&b).expect("serialize");
         assert_eq!(serde_json::from_str::<Bench>(&text).expect("parse"), b);
     }
 
     fn verdict(current: &Bench, name: &str) -> Verdict {
         let gates = gates(current, &baseline());
-        assert_eq!(gates.len(), 6);
+        assert_eq!(gates.len(), 5);
         gates
             .into_iter()
             .find(|g| g.name == name)
@@ -328,18 +290,11 @@ mod tests {
             .verdict
     }
 
-    /// The baseline judged against itself on a 4-core machine passes
-    /// every gate; each case below breaks exactly one field.
-    fn good() -> Bench {
-        let mut b = baseline();
-        b.partitioned.cores = 4;
-        b.partitioned.speedup_max_over_w1 = 2.0;
-        b
-    }
-
+    /// The baseline judged against itself passes every gate; each case
+    /// below breaks exactly one field of it.
     #[test]
-    fn good_ledger_passes_every_gate() {
-        for g in gates(&good(), &baseline()) {
+    fn baseline_passes_every_gate() {
+        for g in gates(&baseline(), &baseline()) {
             assert_eq!(g.verdict, Verdict::Ok, "{g}");
         }
     }
@@ -347,7 +302,7 @@ mod tests {
     #[test]
     fn events_per_sec_floor_is_seventy_percent_of_baseline() {
         let min = 0.7 * baseline().events_per_sec;
-        let mut b = good();
+        let mut b = baseline();
         b.events_per_sec = min;
         assert_eq!(verdict(&b, "events_per_sec"), Verdict::Ok);
         b.events_per_sec = min * (1.0 - 1e-9);
@@ -356,31 +311,17 @@ mod tests {
 
     #[test]
     fn partitioned_w1_floor_is_seventy_percent_of_baseline() {
-        let min = 0.7 * w1_rate(&baseline());
-        let mut b = good();
-        assert_eq!(b.partitioned.widths[0].threads, 1);
-        b.partitioned.widths[0].rate = min;
+        let min = 0.7 * baseline().partitioned.rate;
+        let mut b = baseline();
+        b.partitioned.rate = min;
         assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Ok);
-        b.partitioned.widths[0].rate = min * (1.0 - 1e-9);
+        b.partitioned.rate = min * (1.0 - 1e-9);
         assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Fail);
-        b.partitioned.widths.retain(|w| w.threads != 1);
-        assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Fail);
-    }
-
-    #[test]
-    fn width8_speedup_needs_one_and_a_half_on_four_cores() {
-        let mut b = good();
-        b.partitioned.speedup_max_over_w1 = 1.5;
-        assert_eq!(verdict(&b, "width-8 speedup"), Verdict::Ok);
-        b.partitioned.speedup_max_over_w1 = 1.499;
-        assert_eq!(verdict(&b, "width-8 speedup"), Verdict::Fail);
-        b.partitioned.cores = 3;
-        assert_eq!(verdict(&b, "width-8 speedup"), Verdict::Skip);
     }
 
     #[test]
     fn obs_overhead_budget_is_two_percent() {
-        let mut b = good();
+        let mut b = baseline();
         b.obs.overhead_pct = 2.0;
         assert_eq!(verdict(&b, "obs summary overhead"), Verdict::Ok);
         b.obs.overhead_pct = 2.001;
@@ -389,7 +330,7 @@ mod tests {
 
     #[test]
     fn timeline_needs_three_snapshots_of_positive_cost() {
-        let mut b = good();
+        let mut b = baseline();
         b.obs_timeline.snapshots = 3;
         b.obs_timeline.snapshot_us = 0.001;
         assert_eq!(verdict(&b, "timeline snapshots"), Verdict::Ok);
@@ -402,7 +343,7 @@ mod tests {
 
     #[test]
     fn hybrid_needs_a_fast_flow_and_five_times_packet() {
-        let mut b = good();
+        let mut b = baseline();
         b.hybrid.flows_fast = 1;
         b.hybrid.wall_speedup_over_packet = 5.0;
         assert_eq!(verdict(&b, "hybrid fast path"), Verdict::Ok);
@@ -419,11 +360,11 @@ mod tests {
             |b: &mut Bench| b.fast = !b.fast,
             |b: &mut Bench| b.threads += 1,
         ] {
-            let mut b = good();
+            let mut b = baseline();
             change(&mut b);
             // Far below either floor: only the mode check keeps it from failing.
             b.events_per_sec = 1.0;
-            b.partitioned.widths[0].rate = 1.0;
+            b.partitioned.rate = 1.0;
             assert_eq!(verdict(&b, "events_per_sec"), Verdict::Skip);
             assert_eq!(verdict(&b, "partitioned w1 rate"), Verdict::Skip);
             assert_eq!(verdict(&b, "obs summary overhead"), Verdict::Ok);

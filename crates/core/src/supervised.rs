@@ -297,9 +297,6 @@ fn drive_capture(
     fs::create_dir_all(&opts.checkpoint_dir)?;
     let ckpt_path = opts.capture_checkpoint_path();
     let audit_on = opts.audit_enabled();
-    // Engine worker width for the partitioned calendar. `None` defers to
-    // the process default; any value produces identical bytes.
-    state.sim.set_parallel_width(opts.threads);
     // Flight recorder: run manifest + heartbeat. Strictly write-only side
     // channel — a run behaves identically with this on or off.
     let mut runinfo = obs::on().then(|| {

@@ -12,10 +12,9 @@
 //! DES unchanged. DESIGN.md §13 gives the model, the demotion rules, and
 //! the shape-equivalence contract.
 //!
-//! Everything here runs on the coordinator thread between lookahead
-//! windows, so flow-mode outputs are byte-identical at every worker width
-//! by construction — the same property the packet engine proves at its
-//! barriers.
+//! Everything here runs on the coordinator between lookahead windows,
+//! so flow-mode outputs land in canonical order by construction — the
+//! same property the packet engine proves at its barriers.
 
 use super::part::{Calendar, CalendarEvent};
 use crate::faults::{FaultEvent, FaultKind};

@@ -19,11 +19,12 @@
 //! partition-straddling links, capped at 1 ms. Boundary packets, tap
 //! deliveries, latency samples and buffer windows are exchanged at each
 //! barrier in canonical `(time, source-region, sequence)` order.
-//! Partitions run on the [`sonet_util::par`] phased pool; because
-//! the region keys, the windows and every merge order are fixed by the
-//! topology and the event keys (never by thread scheduling), outputs are
-//! **byte-identical at any `--threads` value**, including 1. DESIGN.md
-//! §10 gives the protocol and the determinism argument.
+//! Each window drains every partition in index order on the caller's
+//! thread. The region keys, the windows and every merge order are fixed
+//! by the topology and the event keys, so outputs are **byte-identical
+//! at any `--threads` value**: that flag fans out independent runs and
+//! never reaches inside one. DESIGN.md §10 gives the protocol and the
+//! determinism argument.
 
 mod fidelity;
 mod part;
@@ -240,8 +241,8 @@ pub struct LiveCounters {
 
 /// Barrier/throughput counters for the partitioned execution, for bench
 /// reporting. The event counts are deterministic; the `*_ns` fields are
-/// wall-clock measurements of the worker pool (they vary run to run and
-/// never feed back into simulation state).
+/// wall-clock measurements (they vary run to run and never feed back into
+/// simulation state).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelStats {
     /// Lookahead windows executed (barriers crossed).
@@ -251,16 +252,17 @@ pub struct ParallelStats {
     /// Sum over windows of the busiest partition's event count — the
     /// critical path a perfectly scheduled run cannot beat.
     pub bottleneck_events: u64,
-    /// Always 0. Workers claim partitions from one shared cursor, so no
-    /// partition has a seeded owner to be stolen from; the field stays
-    /// for readers that still report it (`perfbench`).
+    /// Always 0: partitions drain serially, so nothing is stolen. The
+    /// field stays for readers that still report it (`perfbench`).
     pub steals: u64,
-    /// Total worker time spent draining partitions (wall clock).
+    /// Wall time spent draining partition windows.
     pub busy_ns: u64,
-    /// Total worker time spent idle at barriers waiting for the slowest
-    /// worker (wall clock): `wall_ns * width - busy_ns`.
+    /// Always 0: partitions drain serially, so no worker idles at a
+    /// barrier. The field stays for readers that still report it
+    /// (`perfbench`).
     pub idle_ns: u64,
-    /// Total in-phase wall time across windows (one lane).
+    /// Wall time spent draining partition windows; always equal to
+    /// `busy_ns`, kept for readers that still report it (`perfbench`).
     pub wall_ns: u64,
 }
 
@@ -295,9 +297,6 @@ pub struct Simulator<T: PacketTap> {
     shared: SharedCtx,
     coord: Coord<T>,
     parts: Vec<Partition>,
-    /// Worker-thread override (`None` = the process-wide `--threads`
-    /// setting, resolved at each run call).
-    width_override: Option<usize>,
 }
 
 enum StopMode {
@@ -367,7 +366,6 @@ impl<T: PacketTap> Simulator<T> {
                 fast: FastPath::new(n_links, n_switches),
             },
             parts,
-            width_override: None,
         })
     }
 
@@ -451,13 +449,10 @@ impl<T: PacketTap> Simulator<T> {
         self.coord.pstats
     }
 
-    /// Overrides the worker width for this simulator (`None` reverts to
-    /// the process-wide `--threads` setting). Output is byte-identical at
-    /// every width; this only chooses how many OS threads carry the
-    /// partitions.
-    pub fn set_parallel_width(&mut self, width: Option<usize>) {
-        self.width_override = width;
-    }
+    /// Has no effect: partitions always drain serially on the caller's
+    /// thread. Kept only for the `perfbench` harness, which still calls
+    /// it; nothing in this workspace does.
+    pub fn set_parallel_width(&mut self, _width: Option<usize>) {}
 
     /// Runs every partition's invariant audit after each window when
     /// enabled, panicking on the first violation (used by the
@@ -593,9 +588,9 @@ impl<T: PacketTap> Simulator<T> {
     }
 
     /// Live engine totals, observable between run calls (at a barrier, the
-    /// only time the public API can see the engine). Deterministic at any
-    /// worker width; the chaos SLO evaluator polls these per window to
-    /// measure blackhole durations and recovery.
+    /// only time the public API can see the engine). Deterministic; the
+    /// chaos SLO evaluator polls these per window to measure blackhole
+    /// durations and recovery.
     pub fn live_counters(&self) -> LiveCounters {
         let sum = |f: fn(&part::Counters) -> u64| -> u64 {
             self.parts.iter().map(|p| f(&p.counters)).sum()
@@ -1228,8 +1223,7 @@ impl<T: PacketTap> Coord<T> {
     /// Applies every fast-path event due at or before `t`, in canonical
     /// `(at, seq)` order. Runs on the coordinator between windows — the
     /// packet clock has already reached `t` — so completions, latency
-    /// samples and retirements land in global time order and are
-    /// byte-identical at any worker width.
+    /// samples and retirements land in global time order.
     fn apply_fast_due(&mut self, shared: &SharedCtx, parts: &mut [Partition], t: SimTime) {
         // One event at a time: handling a `Send` or `RespStart` schedules
         // follow-up events that may themselves already be due, and they
@@ -1364,221 +1358,175 @@ impl<T: PacketTap> Simulator<T> {
         self.flush_fast_gauges();
     }
 
-    /// Runs lockstep windows on one pool run until `mode` says stop. The
+    /// Runs lockstep windows until `mode` says stop: at each barrier the
+    /// boundary packets merge and the next window is planned, then every
+    /// partition drains that window in index order on this thread. The
     /// barrier planner also interleaves the hybrid fast calendar, at
     /// fixed, state-independent points: once no packet event at or
     /// before the next fast instant `tf` is pending, the packet clock
     /// rests at `tf` and every fast event due there applies on the
     /// coordinator; until then, windows end one nanosecond past `tf`.
-    /// The fast path is coordinator-serial, so hybrid runs stay
-    /// byte-identical at any worker width.
     fn run_windows(&mut self, mode: StopMode) {
-        let width = self
-            .width_override
-            .unwrap_or_else(|| sonet_util::par::resolve_threads(None))
-            .clamp(1, self.parts.len());
         let shared = &self.shared;
         let coord = &mut self.coord;
-        // Flight-recorder handles, resolved once per run. Everything the
-        // closure records is write-only side-channel state (DESIGN.md
-        // §11): nothing below feeds back into event processing, so the
+        let parts = &mut self.parts[..];
+        // Flight-recorder handles, resolved once per run. Everything
+        // recorded below is write-only side-channel state (DESIGN.md
+        // §11): nothing feeds back into event processing, so the
         // calendar stays byte-identical with observability off or on.
         let part_ev_counters: Option<Vec<_>> = sonet_util::obs::on().then(|| {
-            (0..self.parts.len())
+            (0..parts.len())
                 .map(|i| {
                     sonet_util::obs::metrics::global().counter(&format!("engine.part{i}.events"))
                 })
                 .collect()
         });
-        let part_idle_counters: Option<Vec<_>> = sonet_util::obs::deep().then(|| {
-            (0..self.parts.len())
-                .map(|i| {
-                    sonet_util::obs::metrics::global().counter(&format!("engine.part{i}.idle_ns"))
-                })
-                .collect()
-        });
         // Scalar counters ride the same 64-window flush cadence as the
         // per-partition batch: boundary events accumulate here, and the
-        // barrier and pool counters are published as the delta of
+        // barrier and drain counters are published as the delta of
         // `coord.pstats` since `flushed`. The zero-delta flush below
-        // registers them up front, so a serial run still reports
-        // `engine.worker_idle_ns: 0` in its RUNINFO manifest, and the
-        // wake-latency histogram is present (count 0) even on serial runs
-        // that never hand off.
+        // registers them up front, so every observed run reports them in
+        // its RUNINFO manifest.
         let mut boundary_events = 0u64;
         let mut flushed = coord.pstats;
         if sonet_util::obs::on() {
-            sonet_util::obs::gauge_set!("engine.width", width as u64);
             flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
         }
-        let wake_hist = sonet_util::obs::on().then(|| {
-            sonet_util::obs::metrics::global().histogram(
-                "engine.wake_latency_ns",
-                sonet_util::obs::metrics::BOUNDS_POW4,
-            )
-        });
-        let parts = std::mem::take(&mut self.parts);
         let mut win_start_us: Option<u64> = None;
         let mut win_idx: u64 = 0;
         let mut pending_part_events: Vec<u64> = vec![0; parts.len()];
-        let parts = sonet_util::par::run_phased(
-            width,
-            parts,
-            |parts: &mut [Partition], stats: &sonet_util::par::PhaseStats| -> bool {
-                if let Some(start) = win_start_us.take() {
-                    sonet_util::obs::trace::complete(
-                        "engine.window",
-                        sonet_util::obs::trace::Category::Window,
-                        start,
-                    );
+        loop {
+            if let Some(start) = win_start_us.take() {
+                sonet_util::obs::trace::complete(
+                    "engine.window",
+                    sonet_util::obs::trace::Category::Window,
+                    start,
+                );
+            }
+            boundary_events += barrier_merge(coord, parts);
+            for p in parts.iter_mut() {
+                coord.pstats.events += p.window_counted;
+                p.window_counted = 0;
+            }
+            if let Some(busiest) = parts.iter().map(|p| p.window_events).max() {
+                coord.pstats.bottleneck_events += busiest;
+            }
+            if sonet_util::obs::timeline::installed() {
+                // Streaming-timeline window hook: the snapshot scheduler
+                // fires when the sim clock crosses the `--obs-interval`
+                // schedule. Write-only side channel; two relaxed loads
+                // when nothing is due.
+                let now = parts.iter().map(|p| p.now).max().unwrap_or(coord.now);
+                sonet_util::obs::timeline::window_tick(now.as_nanos());
+            }
+            if let Some(ctrs) = &part_ev_counters {
+                win_idx += 1;
+                let flush = win_idx.is_multiple_of(OBS_FLUSH_WINDOWS);
+                record_window_metrics(parts, ctrs, &mut pending_part_events, flush);
+                if flush {
+                    flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
                 }
-                boundary_events += barrier_merge(coord, parts);
-                for p in parts.iter_mut() {
-                    coord.pstats.events += p.window_counted;
-                    p.window_counted = 0;
-                }
-                if let Some(busiest) = parts.iter().map(|p| p.window_events).max() {
-                    coord.pstats.bottleneck_events += busiest;
-                }
-                coord.pstats.busy_ns += stats.busy_ns;
-                coord.pstats.idle_ns += stats.idle_ns;
-                coord.pstats.wall_ns += stats.wall_ns;
-                if let Some(h) = &wake_hist {
-                    // Condvar wake → first task start, one sample per
-                    // worker per window. The u64::MAX sentinel marks a
-                    // worker that claimed no state — nothing started, so
-                    // nothing to measure.
-                    for &w in &stats.wake_first_ns {
-                        if w != u64::MAX {
-                            h.observe(w);
-                        }
-                    }
-                }
-                if sonet_util::obs::timeline::installed() {
-                    // Streaming-timeline window hook: the snapshot
-                    // scheduler fires when the sim clock crosses the
-                    // `--obs-interval` schedule. Write-only side channel;
-                    // two relaxed loads when nothing is due.
-                    let now = parts.iter().map(|p| p.now).max().unwrap_or(coord.now);
-                    sonet_util::obs::timeline::window_tick(now.as_nanos());
-                }
-                if let Some(ctrs) = &part_ev_counters {
-                    win_idx += 1;
-                    let flush = win_idx.is_multiple_of(OBS_FLUSH_WINDOWS);
-                    record_window_metrics(parts, ctrs, &mut pending_part_events, flush);
-                    if flush {
-                        flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
-                    }
-                }
-                if let Some(ctrs) = &part_idle_counters {
-                    for (i, &busy) in stats.slot_busy_ns.iter().enumerate() {
-                        let idle = stats.wall_ns.saturating_sub(busy);
-                        if idle > 0 && i < ctrs.len() {
-                            ctrs[i].add(idle);
-                        }
-                    }
-                }
-                for p in parts.iter_mut() {
-                    p.window_events = 0;
-                }
-                // The fast calendar's next instant this run may reach, and
-                // the packet calendar head. While no packet event at or
-                // before `tf` is pending, rest every clock at `tf` and
-                // apply the fast events due there (they may schedule
-                // packet events at `tf` and fast events later on).
-                let (next, tf) = loop {
-                    let next = parts.iter().filter_map(|p| p.events.peek_at()).min();
-                    let tf = coord.fast.peek_at().filter(|&tf| match mode {
-                        StopMode::Until(until) => tf <= until,
-                        StopMode::Quiescence => true,
-                    });
-                    match tf {
-                        Some(tf) if next.is_none_or(|t| t > tf) => {
-                            for p in parts.iter_mut() {
-                                p.now = tf;
-                            }
-                            coord.now = tf;
-                            coord.apply_fast_due(shared, parts, tf);
-                        }
-                        _ => break (next, tf),
-                    }
-                };
-                if coord.audit_barriers {
-                    let now = parts.iter().map(|p| p.now).max().unwrap_or(coord.now);
-                    if let Err(report) = audit_parts(shared, parts, now) {
-                        panic!("barrier audit failed: {report}");
-                    }
-                }
-                // Window horizon: no event handled at or after `next` can
-                // reach another partition before `next + lookahead`. The
-                // window also stops one nanosecond past the next fast
-                // instant, else past `until`; a quiescing run with no fast
-                // event left runs on while real events remain.
-                let cap = tf.or(match mode {
-                    StopMode::Until(until) => Some(until),
-                    StopMode::Quiescence => None,
+            }
+            for p in parts.iter_mut() {
+                p.window_events = 0;
+            }
+            // The fast calendar's next instant this run may reach, and
+            // the packet calendar head. While no packet event at or
+            // before `tf` is pending, rest every clock at `tf` and apply
+            // the fast events due there (they may schedule packet events
+            // at `tf` and fast events later on).
+            let (next, tf) = loop {
+                let next = parts.iter().filter_map(|p| p.events.peek_at()).min();
+                let tf = coord.fast.peek_at().filter(|&tf| match mode {
+                    StopMode::Until(until) => tf <= until,
+                    StopMode::Quiescence => true,
                 });
-                let wend = match cap {
-                    Some(cap) => next
-                        .filter(|&t| t <= cap)
-                        .map(|t| (cap + SimDuration::from_nanos(1)).min(t + shared.pmap.lookahead)),
-                    None => {
-                        let real: u64 = parts.iter().map(|p| p.real_events).sum();
-                        (real > 0).then(|| {
-                            next.expect("real events imply a calendar head") + shared.pmap.lookahead
-                        })
-                    }
-                };
-                match wend {
-                    Some(wend) => {
+                match tf {
+                    Some(tf) if next.is_none_or(|t| t > tf) => {
                         for p in parts.iter_mut() {
-                            p.wend = wend;
+                            p.now = tf;
                         }
-                        coord.pstats.barriers += 1;
-                        if sonet_util::obs::on() {
-                            let t = next.expect("a scheduled window has a calendar head");
-                            sonet_util::obs::hist_observe!(
-                                "engine.effective_lookahead_ns",
-                                (wend - t).as_nanos(),
-                                sonet_util::obs::metrics::BOUNDS_POW4
-                            );
-                        }
-                        if sonet_util::obs::deep() {
-                            win_start_us = Some(sonet_util::obs::trace::now_us());
-                        }
-                        true
+                        coord.now = tf;
+                        coord.apply_fast_due(shared, parts, tf);
                     }
-                    None => {
-                        // Epilogue: rest the clock exactly where the
-                        // serial contract says — at `until`, or at the
-                        // last handled event for a natural quiesce.
-                        let end = match mode {
-                            StopMode::Until(until) => until,
-                            StopMode::Quiescence => parts
-                                .iter()
-                                .map(|p| p.last_at)
-                                .max()
-                                .unwrap_or(coord.now)
-                                .max(coord.now),
-                        };
-                        for p in parts.iter_mut() {
-                            p.now = end;
-                        }
-                        coord.now = end;
-                        // Final drain: whatever the 64-window batching
-                        // still holds lands in the registry before the
-                        // run's RUNINFO snapshot is taken.
-                        if let Some(ctrs) = &part_ev_counters {
-                            flush_window_metrics(parts, ctrs, &mut pending_part_events);
-                            flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
-                        }
-                        false
-                    }
+                    _ => break (next, tf),
                 }
-            },
-            |_, p| p.drain_window(shared),
-        );
-        self.parts = parts;
+            };
+            if coord.audit_barriers {
+                let now = parts.iter().map(|p| p.now).max().unwrap_or(coord.now);
+                if let Err(report) = audit_parts(shared, parts, now) {
+                    panic!("barrier audit failed: {report}");
+                }
+            }
+            // Window horizon: no event handled at or after `next` can
+            // reach another partition before `next + lookahead`. The
+            // window also stops one nanosecond past the next fast
+            // instant, else past `until`; a quiescing run with no fast
+            // event left runs on while real events remain.
+            let cap = tf.or(match mode {
+                StopMode::Until(until) => Some(until),
+                StopMode::Quiescence => None,
+            });
+            let wend = match cap {
+                Some(cap) => next
+                    .filter(|&t| t <= cap)
+                    .map(|t| (cap + SimDuration::from_nanos(1)).min(t + shared.pmap.lookahead)),
+                None => {
+                    let real: u64 = parts.iter().map(|p| p.real_events).sum();
+                    (real > 0).then(|| {
+                        next.expect("real events imply a calendar head") + shared.pmap.lookahead
+                    })
+                }
+            };
+            let Some(wend) = wend else {
+                // Epilogue: rest the clock exactly where the serial
+                // contract says — at `until`, or at the last handled
+                // event for a natural quiesce.
+                let end = match mode {
+                    StopMode::Until(until) => until,
+                    StopMode::Quiescence => parts
+                        .iter()
+                        .map(|p| p.last_at)
+                        .max()
+                        .unwrap_or(coord.now)
+                        .max(coord.now),
+                };
+                for p in parts.iter_mut() {
+                    p.now = end;
+                }
+                coord.now = end;
+                // Final drain: whatever the 64-window batching still
+                // holds lands in the registry before the run's RUNINFO
+                // snapshot is taken.
+                if let Some(ctrs) = &part_ev_counters {
+                    flush_window_metrics(parts, ctrs, &mut pending_part_events);
+                    flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
+                }
+                return;
+            };
+            for p in parts.iter_mut() {
+                p.wend = wend;
+            }
+            coord.pstats.barriers += 1;
+            if sonet_util::obs::on() {
+                let t = next.expect("a scheduled window has a calendar head");
+                sonet_util::obs::hist_observe!(
+                    "engine.effective_lookahead_ns",
+                    (wend - t).as_nanos(),
+                    sonet_util::obs::metrics::BOUNDS_POW4
+                );
+            }
+            if sonet_util::obs::deep() {
+                win_start_us = Some(sonet_util::obs::trace::now_us());
+            }
+            let drain_start = std::time::Instant::now();
+            for p in parts.iter_mut() {
+                p.drain_window(shared);
+            }
+            let drain_ns = drain_start.elapsed().as_nanos() as u64;
+            coord.pstats.busy_ns += drain_ns;
+            coord.pstats.wall_ns += drain_ns;
+        }
     }
 
     /// Finishes the run: flushes telemetry windows and returns the outputs
@@ -1691,23 +1639,11 @@ fn record_window_metrics(
     }
 }
 
-/// The barrier and pool counters, named, with their [`ParallelStats`]
-/// totals.
-fn pool_metrics(s: &ParallelStats) -> [(&'static str, u64); 4] {
-    [
-        ("engine.barriers", s.barriers),
-        ("engine.worker_busy_ns", s.busy_ns),
-        ("engine.worker_idle_ns", s.idle_ns),
-        ("engine.pool_wall_ns", s.wall_ns),
-    ]
-}
-
 /// Publishes the scalar engine counters on the same cadence as
 /// `flush_window_metrics`: the boundary events batched in `boundary`, and
-/// each [`pool_metrics`] counter as the delta of `pstats` since `flushed`
-/// (the snapshot of the last flush). The pool counters are added even at
-/// a zero delta, so every observed run reports them and `barrier_util`
-/// (busy / width × wall) is derivable from any artifact.
+/// `engine.barriers` and `engine.drain_ns` as the delta of `pstats` since
+/// `flushed` (the snapshot of the last flush). Those two are added even
+/// at a zero delta, so every observed run reports them.
 fn flush_scalar_metrics(pstats: &ParallelStats, flushed: &mut ParallelStats, boundary: &mut u64) {
     use sonet_util::obs;
     if *boundary > 0 {
@@ -1715,9 +1651,10 @@ fn flush_scalar_metrics(pstats: &ParallelStats, flushed: &mut ParallelStats, bou
         *boundary = 0;
     }
     let m = obs::metrics::global();
-    for ((name, now), (_, then)) in pool_metrics(pstats).into_iter().zip(pool_metrics(flushed)) {
-        m.counter(name).add(now - then);
-    }
+    m.counter("engine.barriers")
+        .add(pstats.barriers - flushed.barriers);
+    m.counter("engine.drain_ns")
+        .add(pstats.busy_ns - flushed.busy_ns);
     *flushed = *pstats;
 }
 
@@ -1806,7 +1743,7 @@ fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, parts: &mut [Partition]) ->
     // only needed when more than one partition contributed this window.
 
     // 2. Tap deliveries, merged across partitions by generating-event key
-    //    (exactly the order a width-1 run produces them in).
+    //    (exactly the order one calendar would produce them in).
     let multi = parts.iter().filter(|p| !p.tap_buf.is_empty()).count() > 1;
     let mut taps: Vec<part::TapCall> = Vec::new();
     for p in parts.iter_mut() {
@@ -1886,8 +1823,8 @@ fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, parts: &mut [Partition]) ->
     }
 
     // 6. Retired slots become reusable in retiring-event order — the
-    //    same order a width-1 run grows `free_conns` in, whatever the
-    //    partition count.
+    //    same order one calendar would grow `free_conns` in, whatever
+    //    the partition count.
     let multi = parts.iter().filter(|p| !p.retired_buf.is_empty()).count() > 1;
     let mut retired: Vec<(EvKey, u32)> = Vec::new();
     for p in parts.iter_mut() {
@@ -1907,7 +1844,7 @@ fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, parts: &mut [Partition]) ->
 // Checkpoint / restore
 // ---------------------------------------------------------------------
 
-/// Serialized sampler state: the canonical (width-independent) view — the
+/// Serialized sampler state: the canonical (partition-independent) view — the
 /// full switch list in registration order with each switch's in-window
 /// samples.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -1930,8 +1867,7 @@ struct BufSamplerCkpt {
 /// cannot disagree with the plant it is replayed against. Because the
 /// view is canonical — events keyed by topology-fixed regions, fault
 /// replicas deduplicated, sequence counters region-indexed — checkpoint
-/// bytes are identical at every worker width, and a checkpoint taken at
-/// one width restores at any other.
+/// bytes depend only on the simulated state.
 ///
 /// Checkpoints from older format versions fail to restore — resuming
 /// one requires the release that wrote it.
@@ -2139,7 +2075,7 @@ impl<T: PacketTap> Simulator<T> {
     ///
     /// The restored engine is observationally identical to the one that
     /// took the checkpoint: continuing both produces byte-identical
-    /// outputs, at any worker width. The tap is supplied by the caller
+    /// outputs. The tap is supplied by the caller
     /// (its state, if any, is checkpointed by the layer that owns it).
     /// Fails with [`SimError::Config`] when the checkpoint's version or
     /// dimensions do not match, its calendar is internally inconsistent,

@@ -30,7 +30,7 @@
 //! its calendar strictly in key order, and the coordinator merges every
 //! cross-partition product (boundary events, tap calls, latency samples,
 //! buffer windows) in key order at each barrier — so nothing observable
-//! depends on how many worker threads carried the partitions.
+//! depends on the order in which the partitions drain a window.
 
 use crate::config::SimConfig;
 use crate::conn::{Conn, ConnPhase, DirState, MsgMeta};
@@ -550,7 +550,7 @@ pub(crate) struct Partition {
     pub link_gray: Vec<f64>,
     /// Per-link count of packets offered to a gray link so far: the
     /// deterministic sequence number feeding the drop decision. Only the
-    /// link's owner advances it, so it is width-independent.
+    /// link's owner advances it, so it is independent of drain order.
     pub link_gray_seq: Vec<u64>,
     /// Replica of the fault-health state. Every partition processes the
     /// same fault schedule in the same key order, so replicas agree at
@@ -841,7 +841,7 @@ impl Partition {
         // A gray link looks healthy to routing (ECMP keeps using it) but
         // silently eats a deterministic pseudo-random fraction of offered
         // packets. The per-link offer counter — not an RNG stream — feeds
-        // the decision, so it is identical at every worker width.
+        // the decision, so it is independent of drain order.
         let gray = self.link_gray[li];
         if gray > 0.0 {
             let seq = self.link_gray_seq[li];
@@ -1628,7 +1628,7 @@ impl Partition {
 /// The gray-failure drop decision for the `seq`-th packet offered to
 /// `link` under drop fraction `fraction`. A splitmix64-style mix of
 /// (link, seq) — pure data, no RNG stream, no shared state — so the
-/// decision sequence is identical at every worker width and across
+/// decision sequence is independent of drain order and survives
 /// checkpoint/restore (the per-link counter is checkpointed).
 pub(crate) fn gray_drop(link: u64, seq: u64, fraction: f64) -> bool {
     let mut z = link

@@ -839,13 +839,13 @@ fn one_partition_per_datacenter_with_backbone_lookahead() {
     assert_eq!(pm.lookahead, SimDuration::from_millis(1));
 }
 
-/// Two-DC workload with faults and telemetry, run at a given width; the
-/// full observable surface comes back for comparison.
-fn cross_dc_run(width: usize) -> (String, Vec<(SimTime, LinkId, Packet)>) {
+/// Two-DC workload with faults and telemetry, with or without the
+/// per-barrier audit; the full observable surface comes back for
+/// comparison.
+fn cross_dc_run(audit: bool) -> (String, Vec<(SimTime, LinkId, Packet)>) {
     let topo = two_dc_topo();
     let mut sim = sim_with_collector(&topo);
-    sim.set_parallel_width(Some(width));
-    sim.audit_every_barrier(true);
+    sim.audit_every_barrier(audit);
     sim.record_latencies(true);
     let webs = topo.hosts_with_role(sonet_topology::HostRole::Web);
     let caches = topo.hosts_with_role(sonet_topology::HostRole::CacheLeader);
@@ -896,14 +896,13 @@ fn cross_dc_run(width: usize) -> (String, Vec<(SimTime, LinkId, Packet)>) {
 }
 
 #[test]
-fn widths_produce_byte_identical_outputs() {
-    let (out1, tap1) = cross_dc_run(1);
-    let (out2, tap2) = cross_dc_run(2);
-    let (out8, tap8) = cross_dc_run(8);
-    assert_eq!(out1, out2, "width 2 diverged from width 1");
-    assert_eq!(out1, out8, "width 8 diverged from width 1");
-    assert_eq!(tap1, tap2, "width 2 tap stream diverged");
-    assert_eq!(tap1, tap8, "width 8 tap stream diverged");
+fn barrier_audit_leaves_cross_dc_outputs_unchanged() {
+    // The audit only reads partition state at each barrier, so a run
+    // with it on must match one without it, byte for byte.
+    let (out1, tap1) = cross_dc_run(false);
+    let (out2, tap2) = cross_dc_run(true);
+    assert_eq!(out1, out2, "the barrier audit changed the outputs");
+    assert_eq!(tap1, tap2, "the barrier audit changed the tap stream");
     assert!(
         tap1.len() > 20,
         "the workload must exercise the tap: {} packets",
@@ -915,7 +914,6 @@ fn widths_produce_byte_identical_outputs() {
 fn parallel_stats_count_barriers_and_events() {
     let topo = two_dc_topo();
     let mut sim = sim_with_collector(&topo);
-    sim.set_parallel_width(Some(2));
     let web = topo.hosts_with_role(sonet_topology::HostRole::Web)[0];
     let leader = topo.hosts_with_role(sonet_topology::HostRole::CacheLeader)[0];
     let c = sim
@@ -935,6 +933,9 @@ fn parallel_stats_count_barriers_and_events() {
     assert_eq!(stats.events, sim.processed_events());
     assert!(stats.bottleneck_events > 0);
     assert!(stats.bottleneck_events <= stats.events);
+    assert!(stats.busy_ns > 0, "draining windows takes wall time");
+    assert_eq!(stats.wall_ns, stats.busy_ns);
+    assert_eq!((stats.idle_ns, stats.steals), (0, 0));
 }
 
 // -----------------------------------------------------------------
@@ -1113,39 +1114,9 @@ fn engine_checkpoint_serialization_is_stable() {
 }
 
 #[test]
-fn checkpoint_bytes_are_width_independent() {
-    let topo = two_dc_topo();
-    let take = |width: usize| {
-        let mut sim =
-            Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap).expect("valid config");
-        sim.set_parallel_width(Some(width));
-        let webs = topo.hosts_with_role(sonet_topology::HostRole::Web);
-        let caches = topo.hosts_with_role(sonet_topology::HostRole::CacheLeader);
-        for (i, &w) in webs.iter().enumerate() {
-            let c = sim
-                .open_connection(SimTime::ZERO, w, caches[i % caches.len()], 11211)
-                .expect("open");
-            sim.send_message(
-                c,
-                SimTime::ZERO,
-                20_000,
-                4_000,
-                SimDuration::from_micros(30),
-            )
-            .expect("send");
-        }
-        sim.run_until(SimTime::from_millis(4));
-        serde_json::to_string(&sim.checkpoint()).expect("json")
-    };
-    let w1 = take(1);
-    assert_eq!(w1, take(2), "width 2 checkpoint bytes diverged");
-    assert_eq!(w1, take(8), "width 8 checkpoint bytes diverged");
-}
-
-#[test]
-fn checkpoint_restores_across_widths() {
-    // Kill-at-barrier, resume at a different width: both continuations
-    // must land on the uninterrupted run's bytes.
+fn checkpoint_restores_mid_flight() {
+    // Kill-at-barrier and resume: the continuation must land on the
+    // uninterrupted run's bytes.
     let topo = two_dc_topo();
     let build = || {
         let mut sim =
@@ -1168,29 +1139,24 @@ fn checkpoint_restores_across_widths() {
         sim
     };
     let mut straight = build();
-    straight.set_parallel_width(Some(1));
     straight.run_to_quiescence();
     let (out_straight, _) = straight.finish();
     let golden = serde_json::to_string(&out_straight).expect("json");
 
     let mut first = build();
-    first.set_parallel_width(Some(8));
     first.run_until(SimTime::from_millis(3));
     assert!(first.pending_events() > 0, "checkpoint must be mid-flight");
     let ckpt_json = serde_json::to_string(&first.checkpoint()).expect("serialize");
 
-    for resume_width in [1usize, 2, 8] {
-        let ckpt: EngineCheckpoint = serde_json::from_str(&ckpt_json).expect("parse");
-        let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
-        resumed.set_parallel_width(Some(resume_width));
-        resumed.run_to_quiescence();
-        let (out, _) = resumed.finish();
-        assert_eq!(
-            golden,
-            serde_json::to_string(&out).expect("json"),
-            "resume at width {resume_width} diverged"
-        );
-    }
+    let ckpt: EngineCheckpoint = serde_json::from_str(&ckpt_json).expect("parse");
+    let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
+    resumed.run_to_quiescence();
+    let (out, _) = resumed.finish();
+    assert_eq!(
+        golden,
+        serde_json::to_string(&out).expect("json"),
+        "the resumed run diverged"
+    );
 }
 
 #[test]
@@ -1481,8 +1447,8 @@ fn audit_detects_link_over_delivery() {
 fn run_until_step_size_is_unobservable() {
     // Splitting one horizon into many run calls must not change a byte:
     // the supervised runner steps the clock in checkpoint intervals while
-    // plain captures run straight through, and both must agree, at any
-    // worker width. The hybrid input runs the same exchanges on the fast
+    // plain captures run straight through, and both must agree. The
+    // hybrid input runs the same exchanges on the fast
     // path, whose calendar interleaves with the windows at every fast
     // instant. One heavy-hitter-sized transfer demotes its flow when it
     // is issued, and a link fault on a second flow's pinned route demotes
@@ -1490,10 +1456,9 @@ fn run_until_step_size_is_unobservable() {
     let topo = two_dc_topo();
     let horizon = SimTime::from_millis(12);
     for hybrid in [false, true] {
-        let build = |width: usize| {
+        let build = || {
             let mut sim = Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap)
                 .expect("valid config");
-            sim.set_parallel_width(Some(width));
             if hybrid {
                 sim.set_fidelity(FidelityConfig::hybrid()).expect("hybrid");
             }
@@ -1531,21 +1496,17 @@ fn run_until_step_size_is_unobservable() {
             }
             sim
         };
-        let mut runs = Vec::new();
-        for width in [1, 2] {
-            let mut straight = build(width);
-            straight.run_until(horizon);
-            runs.push((width, "straight", straight.finish().0));
+        let mut straight = build();
+        straight.run_until(horizon);
+        let want = straight.finish().0;
 
-            let mut stepped = build(width);
-            let mut t = SimTime::ZERO;
-            while t < horizon {
-                t += SimDuration::from_micros(370);
-                stepped.run_until(t.min(horizon));
-            }
-            runs.push((width, "stepped", stepped.finish().0));
+        let mut stepped = build();
+        let mut t = SimTime::ZERO;
+        while t < horizon {
+            t += SimDuration::from_micros(370);
+            stepped.run_until(t.min(horizon));
         }
-        let want = &runs[0].2;
+        let got = stepped.finish().0;
         if hybrid {
             assert!(
                 want.flows_fast > 0,
@@ -1557,14 +1518,11 @@ fn run_until_step_size_is_unobservable() {
                 want.fast_path_demotions
             );
         }
-        let want = serde_json::to_string(want).expect("json");
-        for (width, how, out) in &runs[1..] {
-            assert_eq!(
-                serde_json::to_string(out).expect("json"),
-                want,
-                "hybrid={hybrid}: {how} run at width {width} differs from straight at width 1"
-            );
-        }
+        assert_eq!(
+            serde_json::to_string(&got).expect("json"),
+            serde_json::to_string(&want).expect("json"),
+            "hybrid={hybrid}: the stepped run differs from the straight one"
+        );
     }
 }
 

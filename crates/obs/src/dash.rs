@@ -93,16 +93,6 @@ impl RunSeries {
     pub fn total(&self, name: &str) -> Option<u64> {
         self.finals.get(name).map(|(_, v)| *v)
     }
-
-    /// Worker-pool busy fraction over the whole run:
-    /// `worker_busy_ns / (width x pool_wall_ns)`. `None` when the run
-    /// predates those metrics or never entered the pool.
-    pub fn barrier_util(&self) -> Option<f64> {
-        let busy = self.total("engine.worker_busy_ns")?;
-        let wall = self.total("engine.pool_wall_ns")?;
-        let width = self.total("engine.width")?.max(1);
-        (wall > 0).then(|| busy as f64 / (width as f64 * wall as f64))
-    }
 }
 
 /// Resolves a user-supplied path to a concrete artifact: a file is used
@@ -196,9 +186,9 @@ fn load_runinfo(path: &Path, s: &mut RunSeries) -> Result<(), String> {
 // `sonet top`: one dashboard frame from the rows read so far.
 // ---------------------------------------------------------------------
 
-/// Per-row derived rates used for the dashboard sparklines.
-fn row_rates(rows: &[TimelineRow]) -> Vec<(f64, f64)> {
-    // (events/sec, barrier_util) per row, from deltas over wall time.
+/// Per-row events/sec, from deltas over wall time, for the dashboard
+/// sparkline.
+fn row_rates(rows: &[TimelineRow]) -> Vec<f64> {
     let mut out = Vec::new();
     let mut prev_wall = None;
     for r in rows {
@@ -213,26 +203,11 @@ fn row_rates(rows: &[TimelineRow]) -> Vec<(f64, f64)> {
                 .map(|(_, _, d, _)| *d)
                 .unwrap_or(0)
         };
-        let evs = if dwall_s > 0.0 {
+        out.push(if dwall_s > 0.0 {
             d("engine.events") as f64 / dwall_s
         } else {
             0.0
-        };
-        let busy = d("engine.worker_busy_ns") as f64;
-        let wall = d("engine.pool_wall_ns") as f64;
-        let width = r
-            .metrics
-            .iter()
-            .find(|(n, _, _, _)| n == "engine.width")
-            .map(|(_, _, _, t)| *t)
-            .unwrap_or(1)
-            .max(1) as f64;
-        let util = if wall > 0.0 {
-            busy / (width * wall)
-        } else {
-            0.0
-        };
-        out.push((evs, util));
+        });
     }
     out
 }
@@ -288,17 +263,12 @@ pub fn render_frame(series: &RunSeries) -> String {
 
     // Instantaneous and sparkline rates.
     let rates = row_rates(rows);
-    let window: Vec<(f64, f64)> = rates.iter().rev().take(32).rev().copied().collect();
-    if let Some(&(evs, util)) = window.last() {
+    let window = &rates[rates.len().saturating_sub(32)..];
+    if let Some(&evs) = window.last() {
         out.push_str(&format!(
             "events/sec {:>9}  {}\n",
             human_rate(evs),
-            sparkline(&window.iter().map(|r| r.0).collect::<Vec<_>>()),
-        ));
-        out.push_str(&format!(
-            "barrier-util {:6.1}%  {}\n",
-            util * 100.0,
-            sparkline(&window.iter().map(|r| r.1).collect::<Vec<_>>()),
+            sparkline(window),
         ));
     }
 
@@ -378,7 +348,7 @@ pub struct DiffRow {
     /// Signed change in percent, B relative to A (positive = B larger).
     pub change_pct: f64,
     /// True when the change direction is a regression (slower, more
-    /// drops, higher latency, lower utilization).
+    /// drops, higher latency).
     pub worse: bool,
 }
 
@@ -453,8 +423,8 @@ fn pct_change(a: f64, b: f64) -> f64 {
 }
 
 /// Compares run B against baseline run A, producing the regression
-/// table: throughput (events/sec), drops by cause, worker-pool barrier
-/// utilization, and p50/p99 for every histogram both runs carry.
+/// table: throughput (events/sec), drops by cause, and p50/p99 for every
+/// histogram both runs carry.
 pub fn diff(a: &RunSeries, b: &RunSeries) -> DiffReport {
     let mut rows = Vec::new();
     let mut push = |what: String, av: f64, bv: f64, worse_if_b: Ordering| {
@@ -500,11 +470,6 @@ pub fn diff(a: &RunSeries, b: &RunSeries) -> DiffReport {
             b.total(c).unwrap_or(0) as f64,
             Ordering::Higher,
         );
-    }
-
-    // Worker-pool utilization: lower in B is worse.
-    if let (Some(ua), Some(ub)) = (a.barrier_util(), b.barrier_util()) {
-        push("barrier_util".into(), ua, ub, Ordering::Lower);
     }
 
     // Histogram percentiles, for every histogram both runs carry.
@@ -572,7 +537,7 @@ pub fn diff(a: &RunSeries, b: &RunSeries) -> DiffReport {
 
 /// Which direction counts as a regression for a diff row.
 enum Ordering {
-    /// B below A is worse (throughput, utilization).
+    /// B below A is worse (throughput).
     Lower,
     /// B above A is worse (drops, latency).
     Higher,

@@ -15,11 +15,11 @@
 //! byte of any run changes with it off, on, or deep.
 //!
 //! `--threads N` (default: available parallelism) never changes any
-//! output byte — only wall-clock. For `capture` the flag also sets the
-//! engine's worker width: each datacenter of the plant runs its own event
-//! calendar, synchronized at conservative lookahead barriers (see
-//! DESIGN.md §10), so a multi-DC capture uses up to one worker per
-//! datacenter.
+//! output byte — only wall-clock. It sizes the fan-out across
+//! independent work: `all` scenarios, chaos cells, fleet shards, and
+//! trace, tagging and report stages. The event engine itself always runs
+//! on one thread: its per-datacenter partitions drain one after another
+//! (see DESIGN.md §10).
 //!
 //! Supervised runs (`capture`, `fleet`) checkpoint to `--checkpoint DIR`
 //! at regular intervals, audit engine invariants at every checkpoint
@@ -126,7 +126,8 @@ const FLAGS: &[Flag] = &[
     Flag { name: "--fast", arity: Switch, help: "tiny plant and short horizon",
            cmds: &["run", "all", "capture", "fleet", "export-fleet", "export-matrix"] },
     Flag { name: "--threads", arity: Value("N"), cmds: SEEDED,
-           help: "worker threads (default: available parallelism); never changes output" },
+           help: "threads across scenarios, chaos cells, fleet shards and reports \
+                  (default: available parallelism); never changes output" },
     Flag { name: "--fidelity", arity: Value("packet|hybrid"),
            cmds: &["run", "all", "capture", "fleet", "chaos"],
            help: "packet (default), or hybrid: bulk flows analytic outside fidelity islands" },

@@ -1,6 +1,6 @@
 //! Chaos-campaign integration tests: determinism of the campaign report
-//! across thread widths, resume of a campaign killed at a manifest
-//! barrier on a different width, the shrinker on the known-bad plan,
+//! across thread counts, resume of a campaign killed at a manifest
+//! barrier on a different thread count, the shrinker on the known-bad plan,
 //! standalone repro
 //! replay, checkpoint/resume inside an active fault window, and
 //! abort/reopen accounting under flapping links.
@@ -128,8 +128,8 @@ fn campaign_killed_at_a_barrier_resumes_at_new_width() {
     .expect("write manifest");
     std::fs::remove_file(dir.join("campaign-report.json")).expect("drop report");
 
-    // Resume on a different worker width: the ninth run re-executes at
-    // width 8, yet the report must come back byte-for-byte.
+    // Resume on a different thread count: the ninth run re-executes at
+    // 8 threads, yet the report must come back byte-for-byte.
     par::set_threads(8);
     run_campaign(&cfg, Some(&dir), true).expect("resume");
     par::set_threads(0);
@@ -181,12 +181,9 @@ fn campaign_writes_report_manifest_and_replayable_repro() {
 
 /// Builds a busy simulator with a fault window (link down at 1 ms, up at
 /// 3 ms) around the checkpoint instant (2 ms).
-fn faulted_sim(topo: &Arc<Topology>, width: Option<usize>) -> Simulator<NullTap> {
+fn faulted_sim(topo: &Arc<Topology>) -> Simulator<NullTap> {
     let mut sim =
         Simulator::new(Arc::clone(topo), SimConfig::default(), NullTap).expect("valid config");
-    if let Some(w) = width {
-        sim.set_parallel_width(Some(w));
-    }
     let uplink = topo.host_uplink(topo.racks()[0].hosts[0]);
     let plan = FaultPlan::new()
         .at(SimTime::from_millis(1), FaultKind::LinkDown(uplink))
@@ -232,7 +229,7 @@ fn checkpoint_inside_fault_window_resumes_identically_across_widths() {
     // Save at 2 ms: the link is DOWN (down at 1 ms, up scheduled at 3 ms)
     // and a gray link is active — the checkpoint lands inside both fault
     // windows.
-    let mut origin = faulted_sim(&topo, None);
+    let mut origin = faulted_sim(&topo);
     origin.run_until(SimTime::from_millis(2));
     let saved = serde_json::to_string(&origin.checkpoint()).expect("json");
 
@@ -240,19 +237,14 @@ fn checkpoint_inside_fault_window_resumes_identically_across_widths() {
     origin.run_until(SimTime::from_millis(6));
     let reference = serde_json::to_string(&origin.checkpoint()).expect("json");
 
-    // The checkpoint canonicalizes to the serial form, so a resume may
-    // pick any worker width — including ones the saving run never used.
-    for width in [1usize, 2, 8] {
-        let ckpt = serde_json::from_str(&saved).expect("parse");
-        let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
-        resumed.set_parallel_width(Some(width));
-        resumed.run_until(SimTime::from_millis(6));
-        assert_eq!(
-            serde_json::to_string(&resumed.checkpoint()).expect("json"),
-            reference,
-            "width-{width} resume diverged from the uninterrupted run"
-        );
-    }
+    let ckpt = serde_json::from_str(&saved).expect("parse");
+    let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
+    resumed.run_until(SimTime::from_millis(6));
+    assert_eq!(
+        serde_json::to_string(&resumed.checkpoint()).expect("json"),
+        reference,
+        "the resume diverged from the uninterrupted run"
+    );
 }
 
 #[test]

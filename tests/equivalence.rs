@@ -1,14 +1,16 @@
-//! Byte-identity of the partitioned engine across worker widths.
+//! Byte-identity of every output across thread counts.
 //!
-//! The conservative-lookahead parallel calendar (DESIGN.md §10) promises
-//! that `--threads N` never changes an output byte — not in the engine
-//! counters, not in the tap stream, not in any sampler series or
-//! rendered report, with or without an active fault plan. This suite is
-//! that promise, stated as tests.
+//! `--threads N` sizes the fan-out across independent work (scenarios,
+//! chaos cells, fleet shards, trace assembly, tagging and reports); the
+//! partitioned engine (DESIGN.md §10) always drains its partitions
+//! serially. The promise is that `N` never changes an output byte — not
+//! in the engine counters, not in the tap stream, not in any sampler
+//! series or rendered report, with or without an active fault plan.
+//! This suite is that promise, stated as tests.
 //!
 //! CI runs it as a matrix leg with `SONET_THREADS={1,2,8}`: when the
-//! thread variable is set, each test compares that width against the
-//! serial baseline; unset, it sweeps widths 1, 2, and 8 itself.
+//! thread variable is set, each test compares that thread count against
+//! the serial baseline; unset, it sweeps 1, 2, and 8 itself.
 
 use sonet_dc::core::reports::Fig15Config;
 use sonet_dc::core::supervised::{run_capture, RunStatus, SuperviseOptions};
@@ -26,7 +28,7 @@ use sonet_dc::workload::{ServiceProfiles, Workload};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Worker widths under test: `SONET_THREADS` (the CI matrix leg) against
+/// Thread counts under test: `SONET_THREADS` (the CI matrix leg) against
 /// the serial baseline, or the default 1/2/8 sweep.
 fn widths() -> Vec<usize> {
     match std::env::var("SONET_THREADS")
@@ -38,7 +40,7 @@ fn widths() -> Vec<usize> {
     }
 }
 
-/// Runs `f` with the process-default worker width pinned to `w`. The
+/// Runs `f` with the process-default thread count pinned to `w`. The
 /// global is restored afterwards; the whole point of the suite is that
 /// a concurrent test seeing the altered value cannot observe it in any
 /// output byte.
@@ -54,7 +56,7 @@ const OBS_MODES: [ObsMode; 3] = [ObsMode::Off, ObsMode::Summary, ObsMode::Deep];
 
 /// Runs `f` with the process-wide observability mode pinned to `m`,
 /// restoring `Off` afterwards. The determinism firewall (DESIGN.md §11)
-/// claims the mode — like the worker width — cannot be observed in any
+/// claims the mode — like the thread count — cannot be observed in any
 /// output byte, so a concurrent test seeing the altered global is
 /// harmless by construction.
 fn at_obs<T>(m: ObsMode, f: impl FnOnce() -> T) -> T {
@@ -114,9 +116,8 @@ fn capture_outputs_taps_and_reports_identical_at_every_width() {
 #[test]
 fn capture_identical_at_every_width_under_active_faults() {
     // A seed-derived fault plan: switch/link outages plus telemetry loss,
-    // replayed from the calendar while partitions run in parallel. Fault
-    // application, rerouting, and the degraded tap stream must all stay
-    // width-independent.
+    // replayed from the calendar. Fault application, rerouting, and the
+    // degraded tap stream must all stay independent of the thread count.
     let topo = Topology::build(packet_tier_spec(ScenarioScale::Tiny)).expect("valid spec");
     let plan = FaultPlan::random(&topo, 97, SimDuration::from_secs(3), 2);
     let cfg = CaptureConfig::fast(97).with_faults(plan);
@@ -138,11 +139,10 @@ fn capture_identical_at_every_width_under_active_faults() {
 /// on access links in event order, so an order perturbation anywhere in
 /// the partitioned calendar would surface here as a differing sample
 /// stream.
-fn fbflow_fingerprint(width: usize) -> String {
+fn fbflow_fingerprint() -> String {
     let topo = Arc::new(Topology::build(packet_tier_spec(ScenarioScale::Tiny)).expect("spec"));
     let sampler = FbflowSampler::new(&topo, FbflowConfig { sampling_rate: 11 }, Rng::new(2015));
     let mut sim = Simulator::new(Arc::clone(&topo), SimConfig::default(), sampler).expect("sim");
-    sim.set_parallel_width(Some(width));
     let mut workload =
         Workload::new(Arc::clone(&topo), ServiceProfiles::default(), 2015).expect("workload");
     for ms in [250u64, 500] {
@@ -161,7 +161,7 @@ fn fbflow_fingerprint(width: usize) -> String {
 
 #[test]
 fn fbflow_sample_stream_identical_at_every_width() {
-    let base = fbflow_fingerprint(1);
+    let base = at_width(1, fbflow_fingerprint);
     assert!(
         base.len() > 100,
         "the sampler must actually collect something"
@@ -169,7 +169,7 @@ fn fbflow_sample_stream_identical_at_every_width() {
     for w in widths() {
         assert_eq!(
             base,
-            fbflow_fingerprint(w),
+            at_width(w, fbflow_fingerprint),
             "width {w} changed the Fbflow sample stream"
         );
     }
@@ -180,7 +180,8 @@ fn buffer_sampler_series_identical_at_every_width() {
     // Fig 15 is the switch-side buffer-occupancy experiment: µs-scale
     // occupancy windows, per-second utilization series, and drop counts,
     // all read from `SimOutputs`. The sampler windows close inside
-    // partition event loops, so this pins their series against width.
+    // partition event loops, so this pins their series against the
+    // thread count.
     let cfg = Fig15Config::fast(31);
     let base = at_width(1, || {
         serde_json::to_string(&reports::fig15(&cfg).expect("fig15")).expect("serialize")
@@ -198,11 +199,11 @@ fn capture_identical_at_every_obs_mode_and_width() {
     // The flight recorder is a write-only side channel: counters,
     // histograms, heartbeats, and (at deep) per-window spans all record
     // while the capture runs, and none of it may move an output byte —
-    // at any worker width.
+    // at any thread count.
     let cfg = CaptureConfig::fast(4242);
     let base = at_obs(ObsMode::Off, || at_width(1, || capture_fingerprint(&cfg)));
-    // The mode sweep at the serial width, then the expensive tier (deep,
-    // with per-window spans recording) against the full width matrix.
+    // The mode sweep at one thread, then the expensive tier (deep, with
+    // per-window spans recording) against the full thread matrix.
     for m in [ObsMode::Summary, ObsMode::Deep] {
         assert_eq!(
             base,
@@ -291,9 +292,9 @@ fn checkpoint_bytes_identical_with_obs_deep() {
 #[test]
 fn checkpoint_bytes_identical_at_every_width() {
     // The supervised driver's on-disk capture checkpoint (canonical
-    // engine state + workload RNGs + mirror) must not encode the width
-    // that produced it: stop two runs at their first checkpoint with
-    // different widths and compare the files byte for byte.
+    // engine state + workload RNGs + mirror) must not encode the thread
+    // count that produced it: stop two runs at their first checkpoint
+    // with different counts and compare the files byte for byte.
     let ckpt_at = |w: usize| {
         let dir =
             std::env::temp_dir().join(format!("sonet-equivalence-w{w}-{}", std::process::id()));
@@ -333,16 +334,16 @@ fn checkpoint_bytes_identical_at_every_width() {
 #[test]
 fn direct_engine_run_identical_with_audit_at_every_barrier() {
     // The raw engine, no capture machinery: a cross-DC workload with the
-    // per-barrier invariant auditor enabled, compared across widths. The
-    // auditor re-checks packet conservation and calendar monotonicity at
-    // every lookahead barrier, so a merge-order bug aborts loudly instead
-    // of surfacing as a silent diff.
+    // per-barrier invariant auditor enabled, compared against the same
+    // run without it. The auditor re-checks packet conservation and
+    // calendar monotonicity at every lookahead barrier, so a merge-order
+    // bug aborts loudly instead of surfacing as a silent diff, and it
+    // only reads, so it must not move a byte.
     let topo = Arc::new(Topology::build(packet_tier_spec(ScenarioScale::Tiny)).expect("spec"));
-    let run = |w: usize| {
+    let run = |audit: bool| {
         let mut sim =
             Simulator::new(Arc::clone(&topo), SimConfig::default(), NullTap).expect("sim");
-        sim.set_parallel_width(Some(w));
-        sim.audit_every_barrier(true);
+        sim.audit_every_barrier(audit);
         let webs = topo.hosts_with_role(HostRole::Web);
         let caches = topo.hosts_with_role(HostRole::CacheLeader);
         for (i, &web) in webs.iter().take(24).enumerate() {
@@ -369,8 +370,9 @@ fn direct_engine_run_identical_with_audit_at_every_barrier() {
         let (out, _) = sim.finish();
         serde_json::to_string(&out).expect("serialize")
     };
-    let base = run(1);
-    for w in widths() {
-        assert_eq!(base, run(w), "width {w} changed direct engine outputs");
-    }
+    assert_eq!(
+        run(false),
+        run(true),
+        "the barrier audit changed direct engine outputs"
+    );
 }

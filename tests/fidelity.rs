@@ -5,9 +5,9 @@
 //! `--fidelity=hybrid` run must reproduce the *shapes* the paper's
 //! analyses are built on — FCT CDFs, heavy-hitter ranks, locality
 //! mixes — while packet-only runs stay byte-identical to the engine
-//! before the fast path existed. Every gate here runs at widths 1/2/8,
-//! because the fast path executes on the coordinator and must be as
-//! width-blind as the packet calendar.
+//! before the fast path existed. Every gate here runs at 1, 2 and 8
+//! threads, because the fast path must be as blind to the thread count
+//! as the packet calendar.
 
 use sonet_dc::analysis::heavy_hitters::{hitters_per_interval, HeavyHitterAgg};
 use sonet_dc::analysis::locality::service_matrix_row;
@@ -23,7 +23,7 @@ use sonet_dc::workload::{ServiceProfiles, Workload};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Worker widths under test (the CI matrix leg or the 1/2/8 sweep).
+/// Thread counts under test (the CI matrix leg or the 1/2/8 sweep).
 fn widths() -> Vec<usize> {
     match std::env::var("SONET_THREADS")
         .ok()
@@ -167,7 +167,7 @@ fn explicit_packet_fidelity_flag_is_byte_inert() {
 }
 
 /// The fast path runs on the coordinator, so a hybrid run is subject to
-/// the same promise as a packet run: worker width must not change one
+/// the same promise as a packet run: the thread count must not change one
 /// output byte.
 #[test]
 fn hybrid_capture_identical_at_every_width() {
@@ -293,8 +293,7 @@ fn faulted_hybrid_sim(topo: &Arc<Topology>) -> Simulator<NullTap> {
 
 /// The versioned checkpoint carries the whole fast-path section —
 /// calendar, virtual queues, fault schedule, counters — so a hybrid run
-/// checkpointed inside a fault window resumes byte-identically at any
-/// worker width.
+/// checkpointed inside a fault window resumes byte-identically.
 #[test]
 fn hybrid_checkpoint_inside_fault_window_resumes_identically_across_widths() {
     let topo = Arc::new(Topology::build(packet_tier_spec(ScenarioScale::Tiny)).expect("build"));
@@ -316,23 +315,20 @@ fn hybrid_checkpoint_inside_fault_window_resumes_identically_across_widths() {
         "the fault window must demote the flow pinned through the dead uplink"
     );
 
-    for width in [1usize, 2, 8] {
-        let ckpt = serde_json::from_str(&saved).expect("parse");
-        let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
-        resumed.set_parallel_width(Some(width));
-        resumed.run_until(SimTime::from_millis(6));
-        resumed.run_to_quiescence();
-        assert_eq!(
-            serde_json::to_string(&resumed.checkpoint()).expect("json"),
-            reference,
-            "width-{width} hybrid resume diverged from the uninterrupted run"
-        );
-    }
+    let ckpt = serde_json::from_str(&saved).expect("parse");
+    let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
+    resumed.run_until(SimTime::from_millis(6));
+    resumed.run_to_quiescence();
+    assert_eq!(
+        serde_json::to_string(&resumed.checkpoint()).expect("json"),
+        reference,
+        "the hybrid resume diverged from the uninterrupted run"
+    );
 }
 
 /// The supervised driver's kill-at-a-barrier path, in hybrid mode: a
 /// zero wall-clock budget stops the run at its first checkpoint, the
-/// resume picks a different worker width, and the final outputs and reports still match an uninterrupted hybrid run
+/// resume picks a different thread count, and the final outputs and reports still match an uninterrupted hybrid run
 /// byte for byte.
 #[test]
 fn killed_hybrid_capture_resumes_at_new_width_identically() {

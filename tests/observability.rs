@@ -194,22 +194,25 @@ fn deep_supervised_run_emits_valid_artifacts() {
         events.0
     );
 
-    // The worker pool's metrics land in the manifest: the counters are
-    // registered up front (present even when a serial run has no idle
-    // time), and the effective-lookahead histogram gets one observation
-    // per scheduled window.
+    // The engine's barrier and drain counters land in the manifest, and
+    // the effective-lookahead histogram gets one observation per
+    // scheduled window.
     let find = |name: &str| {
         entries.iter().find_map(|e| {
             let v = Value(e.clone());
             (v.get("name")?.0.as_str()? == name).then_some(v)
         })
     };
-    for name in ["engine.worker_idle_ns", "engine.part0.idle_ns"] {
+    for name in ["engine.barriers", "engine.drain_ns"] {
         let m = find(name).unwrap_or_else(|| panic!("{name} metric missing from RUNINFO"));
         assert_eq!(
             m.get("kind").expect("kind").0.as_str(),
             Some("counter"),
             "{name} must be a counter"
+        );
+        assert!(
+            matches!(m.get("value").expect("value").0, Content::U64(n) if n > 0),
+            "{name} must count something on a real run"
         );
     }
     let look = find("engine.effective_lookahead_ns").expect("effective-lookahead histogram");
@@ -221,13 +224,6 @@ fn deep_supervised_run_emits_valid_artifacts() {
     assert!(
         matches!(hist.get("count").expect("count").0, Content::U64(n) if n > 0),
         "every scheduled window must observe its effective lookahead"
-    );
-    // The condvar wake→first-task latency histogram is pre-registered, so
-    // it is present (possibly with count 0) at any width.
-    let wake = find("engine.wake_latency_ns").expect("wake-latency histogram in RUNINFO");
-    assert_eq!(
-        wake.get("kind").expect("kind").0.as_str(),
-        Some("histogram")
     );
 
     // ---- The streaming timeline artifact ----
