@@ -1285,6 +1285,26 @@ fn restore_rejects_corrupt_hosts_and_routes() {
     let (at, src, seq) = dup.events[0].key();
     let second = &mut dup.events[1];
     (second.at, second.src, second.seq) = (at, src, seq);
+    // One calendar entry rewritten in place (its key kept), for the
+    // rejections that name what an event addresses rather than its key.
+    let forge_event = |forge: &dyn Fn(&mut Ev) -> bool| {
+        let mut ckpt: EngineCheckpoint = serde_json::from_str(&json).expect("parse");
+        assert!(
+            ckpt.events.iter_mut().any(|s| forge(&mut s.ev)),
+            "no calendar entry to forge"
+        );
+        serde_json::to_string(&ckpt).expect("serialize")
+    };
+    let unknown = ConnId {
+        idx: 999_999,
+        gen: 0,
+    };
+    let replace = |ev: Ev| {
+        forge_event(&move |slot: &mut Ev| {
+            *slot = ev.clone();
+            true
+        })
+    };
     let cases = [
         (
             "client endpoint host",
@@ -1315,6 +1335,72 @@ fn restore_rejects_corrupt_hosts_and_routes() {
             "duplicate calendar key",
             serde_json::to_string(&dup).expect("serialize"),
             "share one event key",
+        ),
+        (
+            "transmit hop past the route's end",
+            forge_event(&|ev| match ev {
+                Ev::Transmit { pkt, hop } => {
+                    *hop = pkt.route.len() as u8;
+                    true
+                }
+                _ => false,
+            }),
+            "transmit event beyond its route",
+        ),
+        (
+            "release link",
+            replace(Ev::Release {
+                link: 999_999,
+                bytes: 66,
+            }),
+            "release event for an out-of-range link",
+        ),
+        (
+            "timer slot",
+            replace(Ev::Rto {
+                conn: unknown,
+                dir: Dir::ClientToServer,
+            }),
+            "timer event for an unknown slot",
+        ),
+        (
+            "service slot",
+            replace(Ev::Service {
+                conn: unknown,
+                msg: 0,
+                meta: MsgMeta {
+                    response_bytes: 1,
+                    service_time: SimDuration::ZERO,
+                    issued_at: SimTime::ZERO,
+                },
+            }),
+            "service event for an unknown slot",
+        ),
+        (
+            "connection slot",
+            replace(Ev::SendMsg {
+                conn: unknown,
+                req: 1,
+                meta: MsgMeta {
+                    response_bytes: 0,
+                    service_time: SimDuration::ZERO,
+                    issued_at: SimTime::ZERO,
+                },
+            }),
+            "connection event for an unknown slot",
+        ),
+        (
+            "peer-gone slot",
+            replace(Ev::PeerGone {
+                conn: unknown,
+                client: false,
+            }),
+            "peer-gone event for an unknown slot",
+        ),
+        (
+            "buffer sample region",
+            replace(Ev::BufSample { region: 999 }),
+            "buffer sample for an unknown region",
         ),
     ];
     for (what, forged, expected) in cases {

@@ -19,9 +19,13 @@ use sonet_dc::core::{
     packet_tier_spec, reports, CaptureConfig, FleetData, FleetRunConfig, ScenarioScale,
     StandardCapture,
 };
-use sonet_dc::netsim::{FaultPlan, NullTap, SimConfig, Simulator};
+use sonet_dc::netsim::{
+    FaultKind, FaultPlan, FidelityConfig, NullTap, Packet, PacketTap, SimConfig, Simulator,
+};
 use sonet_dc::telemetry::{FbflowConfig, FbflowSampler};
-use sonet_dc::topology::{HostRole, Topology};
+use sonet_dc::topology::{
+    ClusterSpec, DatacenterSpec, HostRole, LinkId, SiteSpec, Topology, TopologySpec,
+};
 use sonet_dc::util::obs::{self, ObsMode};
 use sonet_dc::util::{par, Rng, SimDuration, SimTime};
 use sonet_dc::workload::{ServiceProfiles, Workload};
@@ -374,5 +378,210 @@ fn direct_engine_run_identical_with_audit_at_every_barrier() {
         run(false),
         run(true),
         "the barrier audit changed direct engine outputs"
+    );
+}
+
+/// FNV-1a 64 of `bytes`.
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Records every tapped packet, in call order.
+#[derive(Default)]
+struct TapLog(Vec<(SimTime, LinkId, Packet)>);
+
+impl PacketTap for TapLog {
+    fn on_packet(&mut self, at: SimTime, link: LinkId, pkt: &Packet) {
+        self.0.push((at, link, *pkt));
+    }
+}
+
+/// The digests a run of [`pinned_engine_run`] must reproduce: its
+/// `SimOutputs` JSON, its tap stream and a mid-run checkpoint JSON.
+#[derive(Debug, PartialEq, Eq)]
+struct EngineDigests {
+    outputs: u64,
+    taps: u64,
+    checkpoint: u64,
+}
+
+/// A two-datacenter engine run that touches every path the engine's
+/// event keys and merge orders govern: a fault plan (link down/up,
+/// degrade, gray), a client abort whose peer sits in the other
+/// datacenter, latency recording, utilization tracking, taps on one web
+/// host, a buffer sampler over switches in two regions (registered out
+/// of region order), connection-slot reuse after the mid-run checkpoint,
+/// and — in hybrid mode — fast flows with exactly one heavy-flow
+/// demotion.
+fn pinned_engine_run(hybrid: bool) -> EngineDigests {
+    let site = |cluster: ClusterSpec| SiteSpec {
+        datacenters: vec![DatacenterSpec {
+            clusters: vec![cluster],
+        }],
+    };
+    let spec = TopologySpec {
+        sites: vec![
+            site(ClusterSpec::frontend(4, 4)),
+            site(ClusterSpec::cache(2, 3)),
+        ],
+        ..TopologySpec::default()
+    };
+    let topo = Arc::new(Topology::build(spec).expect("valid spec"));
+    let cfg = SimConfig {
+        rto: SimDuration::from_millis(4),
+        max_consecutive_rtos: 2,
+        conn_quarantine: SimDuration::from_millis(5),
+        ..SimConfig::default()
+    };
+    let mut sim = Simulator::new(Arc::clone(&topo), cfg, TapLog::default()).expect("sim");
+    if hybrid {
+        sim.set_fidelity(FidelityConfig {
+            heavy_flow_bytes: 256 << 10,
+            ..FidelityConfig::hybrid()
+        })
+        .expect("hybrid");
+    }
+    sim.record_latencies(true);
+    let webs = topo.hosts_with_role(HostRole::Web).to_vec();
+    let caches = topo.hosts_with_role(HostRole::CacheLeader).to_vec();
+    let followers = topo.hosts_with_role(HostRole::CacheFollower).to_vec();
+    assert_eq!((webs.len(), caches.len()), (4, 6));
+    sim.watch_link(topo.host_uplink(webs[0]));
+    sim.watch_link(topo.host_downlink(webs[0]));
+    sim.track_utilization(SimDuration::from_millis(1), &[topo.host_uplink(webs[0])])
+        .expect("track");
+    // The cache-leader rack 1 switch (second datacenter) before the
+    // follower rack switch (first datacenter): two regions, listed out
+    // of region order.
+    let rsw_of = |h| topo.racks()[topo.host(h).rack.index()].rsw;
+    sim.sample_buffers(
+        SimDuration::from_micros(100),
+        SimDuration::from_millis(2),
+        vec![rsw_of(caches[5]), rsw_of(followers[0])],
+    )
+    .expect("sample");
+    let ms = SimTime::from_millis;
+    sim.inject_fault(
+        ms(0),
+        FaultKind::GrayLink {
+            link: topo.host_uplink(webs[1]),
+            drop_fraction: 0.2,
+        },
+    )
+    .expect("gray");
+    sim.inject_fault(
+        ms(1),
+        FaultKind::DegradeLink {
+            link: topo.host_downlink(caches[0]),
+            rate_factor: 0.5,
+        },
+    )
+    .expect("degrade");
+    // Cache leader 1's downlink dies for long enough that its clients
+    // exhaust their RTO budget and abort; the servers they abort on live
+    // in the other datacenter.
+    sim.inject_fault(ms(8), FaultKind::LinkDown(topo.host_downlink(caches[1])))
+        .expect("down");
+    sim.inject_fault(ms(80), FaultKind::LinkUp(topo.host_downlink(caches[1])))
+        .expect("up");
+    let mut conns = Vec::new();
+    for (i, &w) in webs.iter().enumerate() {
+        for (j, &c) in caches.iter().enumerate() {
+            let t0 = (i * caches.len() + j) as u64 * 17;
+            let conn = sim
+                .open_connection(SimTime::from_micros(t0), w, c, 11211)
+                .expect("open");
+            for m in 0..3u64 {
+                sim.send_message(
+                    conn,
+                    SimTime::from_micros(t0 + m * 900),
+                    300 + m * 1_700,
+                    1_200,
+                    SimDuration::from_micros(40),
+                )
+                .expect("send");
+            }
+            if j == 1 {
+                // Still streaming when the downlink dies at 8 ms.
+                sim.send_message(conn, ms(7), 400_000, 0, SimDuration::ZERO)
+                    .expect("send");
+            }
+            conns.push(conn);
+        }
+        // Intra-datacenter traffic, closed early so its slots retire
+        // before the second wave opens.
+        let f = followers[i % followers.len()];
+        let conn = sim
+            .open_connection(SimTime::from_micros(5 + i as u64), w, f, 11211)
+            .expect("open");
+        sim.send_message(
+            conn,
+            SimTime::from_micros(40),
+            4_000,
+            9_000,
+            SimDuration::ZERO,
+        )
+        .expect("send");
+        sim.close_connection(conn, ms(2)).expect("close");
+    }
+    // One heavy message on a flow that avoids every island (web 3 to
+    // cache leader 2): in hybrid mode, the one demotion.
+    let heavy = conns[3 * caches.len() + 2];
+    sim.send_message(heavy, ms(1), 200_000, 100_000, SimDuration::ZERO)
+        .expect("heavy");
+    sim.run_until(ms(20));
+    let checkpoint = serde_json::to_string(&sim.checkpoint()).expect("checkpoint");
+    // A second wave reuses the retired slots.
+    for (i, &w) in webs.iter().enumerate() {
+        let conn = sim
+            .open_connection(ms(22), w, followers[(i + 1) % followers.len()], 80)
+            .expect("reopen");
+        sim.send_message(conn, ms(22), 2_500, 500, SimDuration::from_micros(10))
+            .expect("send");
+    }
+    sim.run_until(ms(120));
+    sim.run_to_quiescence();
+    let (out, taps) = sim.finish();
+    assert!(out.faults_applied == 4 && out.aborted_connections > 0);
+    assert!(out.gray_dropped_packets > 0 && !out.rpc_latencies.is_empty());
+    assert!(!out.buffer_stats.is_empty() && !taps.0.is_empty());
+    if hybrid {
+        assert!(out.flows_fast > 0 && out.fast_completed_requests > 0);
+        assert_eq!(out.fast_path_demotions, 1);
+    }
+    EngineDigests {
+        outputs: fnv64(serde_json::to_string(&out).expect("outputs").as_bytes()),
+        taps: fnv64(serde_json::to_string(&taps.0).expect("taps").as_bytes()),
+        checkpoint: fnv64(checkpoint.as_bytes()),
+    }
+}
+
+#[test]
+fn engine_bytes_match_pinned_digests() {
+    // Every other test here compares two runs of one binary; these
+    // constants pin the bytes themselves, so an engine refactor that
+    // moves an output, a tap call or a checkpoint field fails here even
+    // when it moves every run the same way.
+    let packet = pinned_engine_run(false);
+    let hybrid = pinned_engine_run(true);
+    assert_eq!(
+        packet,
+        EngineDigests {
+            outputs: 0x4c8d_0512_a722_cf49,
+            taps: 0x62b7_9c19_3922_1e1a,
+            checkpoint: 0x22ab_b32f_99c2_d647,
+        },
+        "packet-mode engine bytes moved"
+    );
+    assert_eq!(
+        hybrid,
+        EngineDigests {
+            outputs: 0xab44_3e13_52d1_4610,
+            taps: 0x62b7_9c19_3922_1e1a,
+            checkpoint: 0xb0e8_bda3_e413_aa8e,
+        },
+        "hybrid-mode engine bytes moved"
     );
 }
