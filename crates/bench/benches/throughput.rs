@@ -61,11 +61,9 @@ fn bench_engine(scale: ScenarioScale, sim_secs: u64) -> (u64, f64) {
     (events, start.elapsed().as_secs_f64())
 }
 
-/// A four-datacenter plant: the partitioned engine runs one event
-/// calendar per datacenter (the backbone rides with the first),
-/// synchronized at barriers one global lookahead apart — the 1 ms
-/// propagation of the DR ↔ backbone links, the only links that straddle
-/// two partitions.
+/// A four-datacenter plant: four frontend/cache datacenter pairs joined
+/// by the backbone, whose DR ↔ backbone links carry 1 ms of
+/// propagation.
 fn four_dc_topo(fast: bool) -> Arc<Topology> {
     let (fr, fh, cr, ch) = if fast { (4, 3, 2, 3) } else { (6, 8, 4, 8) };
     let dc = || SiteSpec {
@@ -84,9 +82,8 @@ fn four_dc_topo(fast: bool) -> Arc<Topology> {
 /// keeps a steady request train to a cache follower in its *own*
 /// cluster, and one in four adds a sparse miss train to a cache leader
 /// in a *different* datacenter. The intra-cluster bulk never leaves its
-/// datacenter's partition; only the thin cross-DC tail crosses a
-/// partition boundary, one lookahead after it leaves the DR. Returns the
-/// horizon the caller should run to.
+/// cluster; only the thin cross-DC tail crosses the backbone. Returns
+/// the horizon the caller should run to.
 fn seed_locality_mix(sim: &mut Simulator<NullTap>, topo: &Arc<Topology>, fast: bool) -> SimTime {
     let webs = topo.hosts_with_role(HostRole::Web);
     let leaders = topo.hosts_with_role(HostRole::CacheLeader);
@@ -138,8 +135,8 @@ fn seed_locality_mix(sim: &mut Simulator<NullTap>, topo: &Arc<Topology>, fast: b
     horizon
 }
 
-/// Partitioned capture-tier throughput, driven through one `run_until`
-/// horizon.
+/// Capture-tier engine throughput on the four-datacenter plant, driven
+/// through one `run_until` horizon.
 fn bench_partitioned(topo: &Arc<Topology>, fast: bool) -> Partitioned {
     let mut sim =
         Simulator::new(Arc::clone(topo), SimConfig::default(), NullTap).expect("bench sim");
@@ -149,7 +146,6 @@ fn bench_partitioned(topo: &Arc<Topology>, fast: bool) -> Partitioned {
     let secs = start.elapsed().as_secs_f64();
     let events = sim.processed_events();
     Partitioned {
-        partitions: sim.partitions(),
         events,
         secs,
         rate: per_sec(events, secs),
@@ -338,16 +334,12 @@ fn main() -> ExitCode {
 
     let (engine_events, engine_secs) = bench_engine(scale, sim_secs);
 
-    // Partitioned engine: the locality-mix workload on four datacenters.
+    // The engine alone: the locality-mix workload on four datacenters.
     let four_dc = four_dc_topo(fast_mode());
     let partitioned = bench_partitioned(&four_dc, fast_mode());
     println!(
-        "partitioned: {:.0} events/s ({} events / {:.2}s), {} partitions, {} barriers",
-        partitioned.rate,
-        partitioned.events,
-        partitioned.secs,
-        partitioned.partitions,
-        partitioned.barriers,
+        "partitioned: {:.0} events/s ({} events / {:.2}s), {} barriers",
+        partitioned.rate, partitioned.events, partitioned.secs, partitioned.barriers,
     );
 
     // Hybrid fidelity vs packet on the same bulk mix.

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ledger format version, written as `"schema"`.
-pub const SCHEMA: u32 = 8;
+pub const SCHEMA: u32 = 9;
 
 /// The committed baseline ledger (`crates/bench/BENCH-baseline.json`)
 /// that the two floors compare against.
@@ -42,7 +42,8 @@ pub struct Bench {
     pub analysis_secs: f64,
     /// `fleet_generate_secs + analysis_secs`.
     pub scenario_wall_secs: f64,
-    /// The partitioned engine on the four-datacenter plant.
+    /// The engine on the four-datacenter plant (the leg keeps the name
+    /// it had when each datacenter drained its own calendar).
     pub partitioned: Partitioned,
     /// Flight-recorder overhead.
     pub obs: Obs,
@@ -52,12 +53,9 @@ pub struct Bench {
     pub hybrid: Hybrid,
 }
 
-/// The partitioned engine, draining its partitions serially, on a
-/// pre-seeded workload.
+/// The engine's drain alone, on a pre-seeded workload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Partitioned {
-    /// Partition count: one per datacenter.
-    pub partitions: usize,
     /// Calendar events processed.
     pub events: u64,
     /// Wall seconds of the `run_until` drain.

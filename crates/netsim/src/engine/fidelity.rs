@@ -8,13 +8,13 @@
 //! queueing-delay term for FCT), while *fidelity islands* — flows that
 //! touch a mirrored host's access link, a utilization-tracked link, a
 //! buffer-sampled switch, a link or switch named by the fault plan, or a
-//! heavy-hitter-sized transfer — continue through the partitioned packet
-//! DES unchanged. DESIGN.md §13 gives the model, the demotion rules, and
+//! heavy-hitter-sized transfer — continue through the packet DES
+//! unchanged. DESIGN.md §13 gives the model, the demotion rules, and
 //! the shape-equivalence contract.
 //!
-//! Everything here runs on the coordinator between lookahead windows,
-//! so flow-mode outputs land in canonical order by construction — the
-//! same property the packet engine proves at its barriers.
+//! Everything here runs at the barriers between packet windows, so
+//! flow-mode outputs land in canonical order by construction — the same
+//! order the packet calendar's keys give its own outputs.
 
 use super::part::{Calendar, CalendarEvent};
 use crate::faults::{FaultEvent, FaultKind};
@@ -169,7 +169,7 @@ pub(crate) enum FastKind {
 }
 
 /// One scheduled fast-path event, totally ordered by `(at, seq)` — the
-/// coordinator-serial analogue of the packet calendar's canonical key.
+/// analogue of the packet calendar's canonical key.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub(crate) struct FastEv {
     pub at: SimTime,
@@ -230,7 +230,7 @@ pub(crate) struct FastCounters {
     pub events: u64,
 }
 
-/// Coordinator-owned state of the flow-level fast path.
+/// State of the flow-level fast path.
 pub(crate) struct FastPath {
     pub cfg: FidelityConfig,
     /// Event sequence counter (keys the calendar's total order).
@@ -264,7 +264,7 @@ pub(crate) struct FastPath {
     pub sampled_switches: Vec<bool>,
     /// The network-fault schedule as injected, in `(at, kind-rank)`
     /// order; the fast path derives drop/abort behaviour from the same
-    /// events the packet replicas apply.
+    /// events the packet plant applies.
     pub fault_sched: Vec<FaultEvent>,
     pub counters: FastCounters,
 }
@@ -469,7 +469,7 @@ impl FastPath {
     }
 
     /// Fault state of `route` at instant `t`, replayed from the same
-    /// schedule the packet replicas apply.
+    /// schedule the packet plant applies.
     pub fn route_fault_at(
         &self,
         route: &[LinkId],

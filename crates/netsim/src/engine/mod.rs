@@ -7,24 +7,19 @@
 //!
 //! # Execution model
 //!
-//! The plant is statically divided into topology-fixed *regions* — one
-//! per cluster, one per datacenter hub tier, one for the backbone — and
-//! the regions of each datacenter form one partition (the `part` module).
-//! Each partition owns a slice of the link/switch/connection state and a
-//! private event calendar. Cluster-local and cluster-crossing traffic —
-//! the bulk of the paper's traffic — stays inside one datacenter, so only
-//! DR ↔ backbone hops cross a partition boundary. The coordinator
-//! advances all partitions in lockstep *windows* of one global
-//! conservative lookahead: the smallest propagation delay over
-//! partition-straddling links, capped at 1 ms. Boundary packets, tap
-//! deliveries, latency samples and buffer windows are exchanged at each
-//! barrier in canonical `(time, source-region, sequence)` order.
-//! Each window drains every partition in index order on the caller's
-//! thread. The region keys, the windows and every merge order are fixed
-//! by the topology and the event keys, so outputs are **byte-identical
-//! at any `--threads` value**: that flag fans out independent runs and
-//! never reaches inside one. DESIGN.md §10 gives the protocol and the
-//! determinism argument.
+//! One plant (the `part` module) holds every link, switch and connection
+//! endpoint and drains one event calendar on the caller's thread. The
+//! plant is statically divided into topology-fixed *regions* — one per
+//! cluster, one per datacenter hub tier, one for the backbone — and
+//! every event is keyed `(time, source-region, sequence)`, so the
+//! calendar order and the checkpoint bytes are fixed by the topology
+//! alone. The run loop advances in *windows* of at most [`WINDOW_CAP`]:
+//! each barrier hands the window's tap calls and buffer windows to their
+//! consumers and interleaves the hybrid fast calendar at fixed,
+//! state-independent points. Outputs are **byte-identical at any
+//! `--threads` value**: that flag fans out independent runs and never
+//! reaches inside one. DESIGN.md §10 gives the loop and the determinism
+//! argument.
 
 mod fidelity;
 mod part;
@@ -34,11 +29,11 @@ mod tests;
 use crate::config::SimConfig;
 use crate::conn::{Conn, ConnPhase, MsgMeta};
 use crate::faults::{FaultKind, FaultPlan};
-use crate::packet::{ConnId, Dir, FlowKey};
+use crate::packet::{ConnId, FlowKey};
 use crate::tap::PacketTap;
 use fidelity::{FastKind, FastPath};
 pub use fidelity::{FidelityConfig, FidelityMode};
-use part::{Ev, EvKey, PartSampler, Partition, PartitionMap, Scheduled, SharedCtx, EXT_SRC};
+use part::{Ev, EvKey, Plant, RegionMap, SamplerShard, Scheduled, SharedCtx, EXT_SRC};
 use serde::{Deserialize, Serialize};
 use sonet_topology::{HostId, LinkHealth, LinkId, Node, SwitchId, Topology};
 use sonet_util::{SimDuration, SimTime};
@@ -54,18 +49,19 @@ use std::sync::Arc;
 /// checkpoint requires the release that wrote it).
 const CHECKPOINT_VERSION: u32 = 5;
 
-/// Hard cap on window length: a plant with no partition-straddling link
-/// (a single datacenter) still barriers this often, bounding how stale
-/// the coordinator's view can get (and how far a quiescing plant coasts).
+/// Window length: a window ends at most this long after the calendar
+/// head it opened on (sooner at a fast-path instant or the run horizon),
+/// fixing how often tap calls and buffer windows are handed over and
+/// how far a quiescing plant coasts.
 const WINDOW_CAP: SimDuration = SimDuration::from_nanos(1_000_000);
 
 /// Delay after which a cross-region abort notification reaches the peer
 /// (a RST surfacing after the fabric round-trip). **Must be ≥
-/// [`WINDOW_CAP`]**: an abort at `t` is buffered by a window that ends
-/// no later than `t + lookahead <= t + WINDOW_CAP`, so the injected
-/// `PeerGone` at `t + ABORT_NOTIFY_DELAY` can never land in the peer's
-/// past.
+/// [`WINDOW_CAP`]**: an abort at `t` is handled in a window that ends
+/// no later than `t + WINDOW_CAP`, so the `PeerGone` at
+/// `t + ABORT_NOTIFY_DELAY` always lands in a later window.
 const ABORT_NOTIFY_DELAY: SimDuration = WINDOW_CAP;
+const _: () = assert!(ABORT_NOTIFY_DELAY.as_nanos() >= WINDOW_CAP.as_nanos());
 
 /// Errors surfaced by the simulator API.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -239,52 +235,34 @@ pub struct LiveCounters {
     pub aborted_connections: u64,
 }
 
-/// Barrier/throughput counters for the partitioned execution, for bench
-/// reporting. The event counts are deterministic; the `*_ns` fields are
-/// wall-clock measurements (they vary run to run and never feed back into
-/// simulation state).
+/// Barrier/throughput counters of the window loop, for bench reporting.
+/// The event counts are deterministic; the `*_ns` fields are wall-clock
+/// measurements (they vary run to run and never feed back into
+/// simulation state). Several fields only keep their place for readers
+/// that still report them (`perfbench`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ParallelStats {
-    /// Lookahead windows executed (barriers crossed).
+    /// Windows executed (barriers crossed).
     pub barriers: u64,
-    /// Events handled across all partitions and windows.
+    /// Packet events handled across all windows.
     pub events: u64,
-    /// Sum over windows of the busiest partition's event count — the
-    /// critical path a perfectly scheduled run cannot beat.
+    /// Always equal to `events`: one calendar is its own critical path.
     pub bottleneck_events: u64,
-    /// Always 0: partitions drain serially, so nothing is stolen. The
-    /// field stays for readers that still report it (`perfbench`).
+    /// Always 0: the calendar drains serially, so nothing is stolen.
     pub steals: u64,
-    /// Wall time spent draining partition windows.
+    /// Wall time spent draining windows.
     pub busy_ns: u64,
-    /// Always 0: partitions drain serially, so no worker idles at a
-    /// barrier. The field stays for readers that still report it
-    /// (`perfbench`).
+    /// Always 0: no worker idles at a barrier.
     pub idle_ns: u64,
-    /// Wall time spent draining partition windows; always equal to
-    /// `busy_ns`, kept for readers that still report it (`perfbench`).
+    /// Always equal to `busy_ns`.
     pub wall_ns: u64,
 }
 
-/// One allocated connection slot: current generation plus the partitions
-/// holding its two endpoints.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    gen: u32,
-    cpart: u32,
-    spart: u32,
-}
-
-/// Coordinator-owned state: everything touched only between windows.
+/// Run-loop state outside the plant: the tap and the fast path, which
+/// the barriers feed, and the window bookkeeping.
 struct Coord<T: PacketTap> {
     tap: T,
-    now: SimTime,
-    /// Sequence counter for coordinator-scheduled ([`EXT_SRC`]) events.
-    ext_seq: u64,
-    slots: Vec<Slot>,
-    free_conns: Vec<u32>,
     next_port: Vec<u16>,
-    latencies: Vec<SimDuration>,
     buffer_stats: Vec<BufferWindowStat>,
     audit_barriers: bool,
     pstats: ParallelStats,
@@ -296,7 +274,7 @@ struct Coord<T: PacketTap> {
 pub struct Simulator<T: PacketTap> {
     shared: SharedCtx,
     coord: Coord<T>,
-    parts: Vec<Partition>,
+    plant: Plant,
 }
 
 enum StopMode {
@@ -331,11 +309,11 @@ impl<T: PacketTap> Simulator<T> {
             switch_alpha.push(b.alpha);
         }
 
-        let pmap = PartitionMap::new(&topo);
+        let regions = RegionMap::new(&topo);
         let shared = SharedCtx {
             topo,
             cfg,
-            pmap,
+            regions,
             link_gbps,
             link_prop,
             link_from_switch,
@@ -346,26 +324,19 @@ impl<T: PacketTap> Simulator<T> {
             util_interval: None,
             record_latencies: false,
         };
-        let parts = (0..shared.pmap.n_parts)
-            .map(|i| Partition::new(i, &shared))
-            .collect();
+        let plant = Plant::new(&shared);
         let n_switches = shared.switch_cap.len();
         Ok(Simulator {
             shared,
             coord: Coord {
                 tap,
-                now: SimTime::ZERO,
-                ext_seq: 0,
-                slots: Vec::new(),
-                free_conns: Vec::new(),
                 next_port: vec![32768; n_hosts],
-                latencies: Vec::new(),
                 buffer_stats: Vec::new(),
                 audit_barriers: false,
                 pstats: ParallelStats::default(),
                 fast: FastPath::new(n_links, n_switches),
             },
-            parts,
+            plant,
         })
     }
 
@@ -391,7 +362,7 @@ impl<T: PacketTap> Simulator<T> {
 
     /// Current simulation clock.
     pub fn now(&self) -> SimTime {
-        self.coord.now
+        self.plant.now
     }
 
     /// The topology being simulated.
@@ -423,25 +394,18 @@ impl<T: PacketTap> Simulator<T> {
     /// Events handled so far (packet events plus fast-path flow events);
     /// run supervisors use this for event-count budgets.
     pub fn processed_events(&self) -> u64 {
-        self.parts.iter().map(|p| p.processed_events).sum::<u64>() + self.coord.fast.counters.events
+        self.plant.processed_events + self.coord.fast.counters.events
     }
 
     /// Events still on the calendar (including housekeeping samples and
     /// scheduled fast-path flow events).
     pub fn pending_events(&self) -> usize {
-        self.parts.iter().map(|p| p.events.len()).sum::<usize>() + self.coord.fast.pending()
+        self.plant.events.len() + self.coord.fast.pending()
     }
 
-    /// Current link/switch health under the faults applied so far. (Every
-    /// partition holds an identical replica; partition 0's is returned.)
+    /// Current link/switch health under the faults applied so far.
     pub fn health(&self) -> &LinkHealth {
-        &self.parts[0].health
-    }
-
-    /// Number of plant partitions: one per datacenter (the backbone
-    /// rides with partition 0).
-    pub fn partitions(&self) -> usize {
-        self.parts.len()
+        &self.plant.health
     }
 
     /// Barrier/utilization counters accumulated so far.
@@ -449,15 +413,15 @@ impl<T: PacketTap> Simulator<T> {
         self.coord.pstats
     }
 
-    /// Has no effect: partitions always drain serially on the caller's
-    /// thread. Kept only for the `perfbench` harness, which still calls
-    /// it; nothing in this workspace does.
+    /// Has no effect: the calendar always drains on the caller's thread.
+    /// Kept only for the `perfbench` harness, which still calls it;
+    /// nothing in this workspace does.
     pub fn set_parallel_width(&mut self, _width: Option<usize>) {}
 
-    /// Runs every partition's invariant audit after each window when
-    /// enabled, panicking on the first violation (used by the
-    /// equivalence/property suites to check mid-run states the public
-    /// API cannot observe).
+    /// Runs the invariant audit after each window when enabled,
+    /// panicking on the first violation (used by the equivalence and
+    /// property suites to check mid-run states the public API cannot
+    /// observe).
     pub fn audit_every_barrier(&mut self, on: bool) {
         self.coord.audit_barriers = on;
     }
@@ -465,10 +429,10 @@ impl<T: PacketTap> Simulator<T> {
     /// Schedules one network fault. Telemetry faults are rejected — they
     /// belong to the capture layer, not the engine.
     pub fn inject_fault(&mut self, at: SimTime, kind: FaultKind) -> Result<(), SimError> {
-        if at < self.coord.now {
+        if at < self.plant.now {
             return Err(SimError::TimeInPast {
                 requested: at,
-                now: self.coord.now,
+                now: self.plant.now,
             });
         }
         if kind.is_telemetry() {
@@ -525,8 +489,8 @@ impl<T: PacketTap> Simulator<T> {
                         crate::faults::MAX_FLAP_CYCLES
                     )));
                 }
-                // Expand the flap into primitive down/up events so every
-                // replica (and every checkpoint) sees only the kinds the
+                // Expand the flap into primitive down/up events so the
+                // calendar (and every checkpoint) holds only the kinds the
                 // fault handler applies directly.
                 for c in 0..cycles as u64 {
                     let down_at = at + half_period * (2 * c);
@@ -549,24 +513,16 @@ impl<T: PacketTap> Simulator<T> {
                 .fast
                 .slots_hit_by(&kind, &self.shared.link_from_switch)
             {
-                let conn = ConnId {
-                    idx,
-                    gen: self.coord.slots[idx as usize].gen,
-                };
+                let gen = self.plant.clients[idx as usize]
+                    .as_ref()
+                    .expect("a fast slot has a client endpoint")
+                    .id
+                    .gen;
+                let conn = ConnId { idx, gen };
                 self.coord.fast.push(at, FastKind::Demote { conn });
             }
         }
-        // Replicate to every partition: each applies the fault to its own
-        // health/rate replica at the same virtual time, so replicas agree
-        // at every barrier without any cross-partition reads. All
-        // replicas share ONE sequence number — they are the same
-        // canonical event, so the checkpoint calendar (which dedups the
-        // replicas) is independent of the partition count.
-        let seq = self.coord.ext_seq;
-        self.coord.ext_seq += 1;
-        for p in &mut self.parts {
-            p.push_ext(at, seq, Ev::Fault { kind });
-        }
+        self.plant.push_ext(at, Ev::Fault { kind });
         Ok(())
     }
 
@@ -583,8 +539,7 @@ impl<T: PacketTap> Simulator<T> {
     /// Live view of a link's counters (SNMP-style mid-run poll; the full
     /// vector is also returned by [`Simulator::finish`]).
     pub fn link_counters(&self, link: LinkId) -> LinkCounters {
-        let owner = self.shared.pmap.part_of_link[link.index()] as usize;
-        self.parts[owner].link_counters[link.index()]
+        self.plant.link_counters[link.index()]
     }
 
     /// Live engine totals, observable between run calls (at a barrier, the
@@ -592,33 +547,26 @@ impl<T: PacketTap> Simulator<T> {
     /// chaos SLO evaluator polls these per window to measure blackhole
     /// durations and recovery.
     pub fn live_counters(&self) -> LiveCounters {
-        let sum = |f: fn(&part::Counters) -> u64| -> u64 {
-            self.parts.iter().map(|p| f(&p.counters)).sum()
-        };
-        // Per-link state is only ever touched by its owner; every other
-        // partition's entry stays zero, so summing all replicas is exact.
-        let mut fault_dropped_packets = 0;
-        for p in &self.parts {
-            fault_dropped_packets += p
-                .link_counters
-                .iter()
-                .map(|c| c.fault_drop_packets)
-                .sum::<u64>();
-        }
+        let c = &self.plant.counters;
+        let fc = &self.coord.fast.counters;
         LiveCounters {
-            emitted_packets: sum(|c| c.emitted_packets),
-            delivered_packets: sum(|c| c.delivered_packets),
+            emitted_packets: c.emitted_packets,
+            delivered_packets: c.delivered_packets,
             // Fast-path completions ride the same totals the chaos SLOs
             // are defined over: a hybrid run's recovery behaviour is
             // measured on all of its traffic, not just the islands.
-            completed_requests: sum(|c| c.completed_requests) + self.coord.fast.counters.completed,
-            fault_dropped_packets,
-            gray_dropped_packets: sum(|c| c.gray_dropped_packets),
-            reroutes: sum(|c| c.reroutes),
-            reroute_failures: sum(|c| c.reroute_failures),
-            failed_handshakes: sum(|c| c.failed_handshakes),
-            aborted_connections: sum(|c| c.aborted_connections)
-                + self.coord.fast.counters.aborted_flows,
+            completed_requests: c.completed_requests + fc.completed,
+            fault_dropped_packets: self
+                .plant
+                .link_counters
+                .iter()
+                .map(|l| l.fault_drop_packets)
+                .sum(),
+            gray_dropped_packets: c.gray_dropped_packets,
+            reroutes: c.reroutes,
+            reroute_failures: c.reroute_failures,
+            failed_handshakes: c.failed_handshakes,
+            aborted_connections: c.aborted_connections + fc.aborted_flows,
         }
     }
 
@@ -679,16 +627,15 @@ impl<T: PacketTap> Simulator<T> {
         }
         // Split the switch list by *region*, remembering each switch's
         // index in the caller's list — the canonical order the barrier
-        // merge (and the checkpoint) reassembles. Sharding by region,
-        // with each shard's sample chain keyed by its region, makes the
-        // event stream independent of how regions group into partitions.
-        let now = self.coord.now;
-        for region in 0..self.shared.pmap.n_regions {
+        // (and the checkpoint) reassembles. Each shard's sample chain is
+        // keyed by its region.
+        let now = self.plant.now;
+        for region in 0..self.shared.regions.n_regions {
             let mut owned = Vec::new();
             let mut orig = Vec::new();
             let mut caps = Vec::new();
             for (i, &sw) in switches.iter().enumerate() {
-                if self.shared.pmap.region_of_switch[sw.index()] == region {
+                if self.shared.regions.region_of_switch[sw.index()] == region {
                     owned.push(sw);
                     orig.push(i as u32);
                     caps.push(self.shared.switch_cap[sw.index()]);
@@ -698,11 +645,11 @@ impl<T: PacketTap> Simulator<T> {
                 continue;
             }
             let n = owned.len();
-            let p = &mut self.parts[self.shared.pmap.part_of_region[region as usize] as usize];
+            let p = &mut self.plant;
             // Re-registering replaces the region's shard (the old chain's
             // events die against the fresh shard state).
-            p.buf_samplers.retain(|s| s.region != region);
-            p.buf_samplers.push(PartSampler {
+            p.samplers.retain(|s| s.region != region);
+            p.samplers.push(SamplerShard {
                 region,
                 interval,
                 window,
@@ -712,8 +659,8 @@ impl<T: PacketTap> Simulator<T> {
                 window_start: now,
                 samples: vec![Vec::new(); n],
             });
-            p.buf_samplers.sort_by_key(|s| s.region);
-            p.push_region(&self.shared, region, now, Ev::BufSample { region });
+            p.samplers.sort_by_key(|s| s.region);
+            p.push_region(region, now, Ev::BufSample { region });
         }
         Ok(())
     }
@@ -728,10 +675,10 @@ impl<T: PacketTap> Simulator<T> {
         server: HostId,
         server_port: u16,
     ) -> Result<ConnId, SimError> {
-        if at < self.coord.now {
+        if at < self.plant.now {
             return Err(SimError::TimeInPast {
                 requested: at,
-                now: self.coord.now,
+                now: self.plant.now,
             });
         }
         if client == server {
@@ -746,51 +693,44 @@ impl<T: PacketTap> Simulator<T> {
             server_port,
         };
         let hash = key.ecmp_hash();
-        let id = match self.coord.free_conns.pop() {
+        let plant = &mut self.plant;
+        let id = match plant.free_conns.pop() {
             Some(idx) => {
                 // Reusing a quarantined slot evicts the previous
-                // incarnation's endpoint halves from whichever partitions
-                // hold them. Stragglers addressed to the old generation
-                // then count as stale instead of being processed by a
-                // zombie endpoint — and, just as important, the live
-                // tables match exactly what a checkpoint captures, so a
-                // restored run evolves identically to an uninterrupted
-                // one.
-                let old = self.coord.slots[idx as usize];
-                self.parts[old.cpart as usize].clients[idx as usize] = None;
-                self.parts[old.spart as usize].servers[idx as usize] = None;
+                // incarnation's endpoint halves. Stragglers addressed to
+                // the old generation then count as stale instead of being
+                // processed by a zombie endpoint — and, just as
+                // important, the live tables match exactly what a
+                // checkpoint captures, so a restored run evolves
+                // identically to an uninterrupted one.
+                let old = plant.clients[idx as usize]
+                    .take()
+                    .expect("a retired slot keeps its client endpoint");
+                plant.servers[idx as usize] = None;
                 ConnId {
                     idx,
-                    gen: old.gen + 1,
+                    gen: old.id.gen + 1,
                 }
             }
-            None => ConnId {
-                idx: self.coord.slots.len() as u32,
-                gen: 0,
-            },
+            None => {
+                plant.clients.push(None);
+                plant.servers.push(None);
+                ConnId {
+                    idx: plant.clients.len() as u32 - 1,
+                    gen: 0,
+                }
+            }
         };
-        let cpart = self.shared.pmap.part_of_host[client.index()];
-        let spart = self.shared.pmap.part_of_host[server.index()];
-        let slot = Slot {
-            gen: id.gen,
-            cpart,
-            spart,
-        };
-        if (id.idx as usize) < self.coord.slots.len() {
-            self.coord.slots[id.idx as usize] = slot;
-        } else {
-            self.coord.slots.push(slot);
-        }
         // Route around current faults where possible; when no healthy
         // path exists, pin the nominal route anyway — the SYN dies on the
         // dead hop and the handshake gives up after its retry budget,
         // which is how a real connect() to an unreachable server behaves.
         // (The server endpoint pins its reverse route when the SYN
-        // arrives; see `Partition::accept_syn`.)
+        // arrives; see `Plant::accept_syn`.)
         let route_fwd = self
             .shared
             .topo
-            .route_healthy(client, server, hash, &self.parts[0].health)
+            .route_healthy(client, server, hash, &self.plant.health)
             .or_else(|_| self.shared.topo.route(client, server, hash))
             .expect("distinct endpoints were checked above");
         // The fidelity planner: in hybrid mode a flow whose two routes
@@ -803,7 +743,7 @@ impl<T: PacketTap> Simulator<T> {
             let route_rev = self
                 .shared
                 .topo
-                .route_healthy(server, client, hash, &self.parts[0].health)
+                .route_healthy(server, client, hash, &self.plant.health)
                 .or_else(|_| self.shared.topo.route(server, client, hash))
                 .expect("distinct endpoints were checked above");
             let island = |route: &[LinkId]| {
@@ -841,23 +781,14 @@ impl<T: PacketTap> Simulator<T> {
             syn_attempts: 0,
             opened_at: at,
         };
-        let n_slots = self.coord.slots.len();
-        for p in &mut self.parts {
-            if p.clients.len() < n_slots {
-                p.clients.resize(n_slots, None);
-                p.servers.resize(n_slots, None);
-            }
-        }
-        self.parts[cpart as usize].clients[id.idx as usize] = Some(conn);
-        // A fast flow's endpoint record still lives in the partition
+        self.plant.clients[id.index()] = Some(conn);
+        // A fast flow's endpoint record still lives in the plant's
         // tables (checkpoints and slot reuse work unchanged), but no
         // packet handshake is scheduled: the analytic model charges the
         // SYN round trip on the flow's first send, and a later demotion
         // simply schedules the `OpenConn` this branch skipped.
         if !fast {
-            let seq = self.coord.ext_seq;
-            self.coord.ext_seq += 1;
-            self.parts[cpart as usize].push_ext(at, seq, Ev::OpenConn { conn: id });
+            self.plant.push_ext(at, Ev::OpenConn { conn: id });
         }
         Ok(id)
     }
@@ -874,25 +805,22 @@ impl<T: PacketTap> Simulator<T> {
         response_bytes: u64,
         service_time: SimDuration,
     ) -> Result<(), SimError> {
-        if at < self.coord.now {
+        if at < self.plant.now {
             return Err(SimError::TimeInPast {
                 requested: at,
-                now: self.coord.now,
+                now: self.plant.now,
             });
         }
         if request_bytes == 0 {
             return Err(SimError::EmptyRequest);
         }
-        let slot = self
-            .coord
-            .slots
+        let phase = self
+            .plant
+            .clients
             .get(conn.index())
-            .filter(|s| s.gen == conn.gen)
-            .ok_or(SimError::NoSuchConn(conn))?;
-        let cpart = slot.cpart as usize;
-        let phase = self.parts[cpart].clients[conn.index()]
-            .as_ref()
-            .expect("registered slot has a client endpoint")
+            .and_then(Option::as_ref)
+            .filter(|c| c.id.gen == conn.gen)
+            .ok_or(SimError::NoSuchConn(conn))?
             .phase;
         if phase == ConnPhase::Closed {
             return Err(SimError::ConnClosed(conn));
@@ -900,11 +828,8 @@ impl<T: PacketTap> Simulator<T> {
         if self.coord.fast.is_fast(conn.index()) {
             return self.send_fast(conn, at, request_bytes, response_bytes, service_time);
         }
-        let seq = self.coord.ext_seq;
-        self.coord.ext_seq += 1;
-        self.parts[cpart].push_ext(
+        self.plant.push_ext(
             at,
-            seq,
             Ev::SendMsg {
                 conn,
                 req: request_bytes,
@@ -921,8 +846,8 @@ impl<T: PacketTap> Simulator<T> {
     /// Advances one request/response exchange analytically on a fast
     /// flow. Heavy-hitter-sized transfers demote the flow to the packet
     /// engine instead; fault state on the pinned routes turns into RTO
-    /// delays or aborts derived from the same schedule the packet
-    /// replicas apply.
+    /// delays or aborts derived from the same schedule the packet plant
+    /// applies.
     fn send_fast(
         &mut self,
         conn: ConnId,
@@ -931,17 +856,12 @@ impl<T: PacketTap> Simulator<T> {
         response_bytes: u64,
         service_time: SimDuration,
     ) -> Result<(), SimError> {
-        let idx = conn.index();
         // Heavy-hitter island: hand the flow over and let the packet
         // path carry this message (and all later ones).
         if request_bytes + response_bytes >= self.coord.fast.cfg.heavy_flow_bytes {
-            self.coord.demote_to_packet(&mut self.parts, conn, at);
-            let cpart = self.coord.slots[idx].cpart as usize;
-            let seq = self.coord.ext_seq;
-            self.coord.ext_seq += 1;
-            self.parts[cpart].push_ext(
+            self.coord.demote_to_packet(&mut self.plant, conn, at);
+            self.plant.push_ext(
                 at,
-                seq,
                 Ev::SendMsg {
                     conn,
                     req: request_bytes,
@@ -973,19 +893,15 @@ impl<T: PacketTap> Simulator<T> {
 
     /// Closes `conn` at absolute time `at` (FIN emission).
     pub fn close_connection(&mut self, conn: ConnId, at: SimTime) -> Result<(), SimError> {
-        if at < self.coord.now {
+        if at < self.plant.now {
             return Err(SimError::TimeInPast {
                 requested: at,
-                now: self.coord.now,
+                now: self.plant.now,
             });
         }
-        let slot = self
-            .coord
-            .slots
-            .get(conn.index())
-            .filter(|s| s.gen == conn.gen)
-            .ok_or(SimError::NoSuchConn(conn))?;
-        let cpart = slot.cpart as usize;
+        if !self.plant.slot_live(conn) {
+            return Err(SimError::NoSuchConn(conn));
+        }
         if self.coord.fast.is_fast(conn.index()) {
             // Fast flows close on the fast calendar; if the flow demotes
             // before the FIN instant, the event handler forwards a packet
@@ -993,16 +909,13 @@ impl<T: PacketTap> Simulator<T> {
             self.coord.fast.push(at, FastKind::Close { conn });
             return Ok(());
         }
-        let seq = self.coord.ext_seq;
-        self.coord.ext_seq += 1;
-        self.parts[cpart].push_ext(at, seq, Ev::Close { conn });
+        self.plant.push_ext(at, Ev::Close { conn });
         Ok(())
     }
 }
 
-/// The hybrid fast path's event handlers. They run on the coordinator
-/// — from the barrier planner, between windows — so they touch only
-/// the shared plant context, the coordinator and the partitions.
+/// The hybrid fast path's event handlers. They run from the barrier
+/// planner, between windows, against the plant's endpoint tables.
 impl<T: PacketTap> Coord<T> {
     /// Evaluates one deferred fast send at its issue instant
     /// `meta.issued_at`: fault state turns into RTO delays or aborts,
@@ -1012,7 +925,7 @@ impl<T: PacketTap> Coord<T> {
     fn fast_send_eval(
         &mut self,
         shared: &SharedCtx,
-        parts: &mut [Partition],
+        plant: &mut Plant,
         conn: ConnId,
         request_bytes: u64,
         meta: MsgMeta,
@@ -1023,19 +936,15 @@ impl<T: PacketTap> Coord<T> {
             issued_at: at,
         } = meta;
         let idx = conn.index();
-        if !self.slot_live(conn) {
+        if !plant.slot_live(conn) {
             self.fast.counters.on_closed += 1;
             return;
         }
         if !self.fast.is_fast(idx) {
             // The flow demoted between issue and send instant: the packet
             // engine carries this message.
-            let cpart = self.slots[idx].cpart as usize;
-            let seq = self.ext_seq;
-            self.ext_seq += 1;
-            parts[cpart].push_ext(
+            plant.push_ext(
                 at,
-                seq,
                 Ev::SendMsg {
                     conn,
                     req: request_bytes,
@@ -1044,8 +953,7 @@ impl<T: PacketTap> Coord<T> {
             );
             return;
         }
-        let cpart = self.slots[idx].cpart as usize;
-        let closed = parts[cpart].clients[idx]
+        let closed = plant.clients[idx]
             .as_ref()
             .map(|c| c.phase == ConnPhase::Closed)
             .unwrap_or(true);
@@ -1193,38 +1101,28 @@ impl<T: PacketTap> Coord<T> {
     /// open time is scheduled now, so the packet handshake (with pre-open
     /// queueing for subsequent sends) takes over. In-flight analytic
     /// transfers still complete on the fast calendar.
-    fn demote_to_packet(&mut self, parts: &mut [Partition], conn: ConnId, at: SimTime) {
+    fn demote_to_packet(&mut self, plant: &mut Plant, conn: ConnId, at: SimTime) {
         let idx = conn.index();
         if !self.fast.is_fast(idx) {
             return;
         }
         self.fast.drop_fast(idx);
         self.fast.counters.demotions += 1;
-        let cpart = self.slots[idx].cpart as usize;
-        let closed = parts[cpart].clients[idx]
+        let closed = plant.clients[idx]
             .as_ref()
             .map(|c| c.phase == ConnPhase::Closed)
             .unwrap_or(true);
         if closed {
             return;
         }
-        let seq = self.ext_seq;
-        self.ext_seq += 1;
-        parts[cpart].push_ext(at, seq, Ev::OpenConn { conn });
-    }
-
-    /// True when `conn` still names the slot's current incarnation.
-    fn slot_live(&self, conn: ConnId) -> bool {
-        self.slots
-            .get(conn.index())
-            .is_some_and(|s| s.gen == conn.gen)
+        plant.push_ext(at, Ev::OpenConn { conn });
     }
 
     /// Applies every fast-path event due at or before `t`, in canonical
-    /// `(at, seq)` order. Runs on the coordinator between windows — the
-    /// packet clock has already reached `t` — so completions, latency
-    /// samples and retirements land in global time order.
-    fn apply_fast_due(&mut self, shared: &SharedCtx, parts: &mut [Partition], t: SimTime) {
+    /// `(at, seq)` order. Runs between windows — the packet clock has
+    /// already reached `t` — so completions, latency samples and
+    /// retirements land in global time order.
+    fn apply_fast_due(&mut self, shared: &SharedCtx, plant: &mut Plant, t: SimTime) {
         // One event at a time: handling a `Send` or `RespStart` schedules
         // follow-up events that may themselves already be due, and they
         // must drain in canonical `(at, seq)` order with everything else.
@@ -1242,7 +1140,7 @@ impl<T: PacketTap> Coord<T> {
                         service_time: service,
                         issued_at: ev.at,
                     };
-                    self.fast_send_eval(shared, parts, conn, req, meta);
+                    self.fast_send_eval(shared, plant, conn, req, meta);
                 }
                 FastKind::RespStart {
                     conn,
@@ -1259,7 +1157,7 @@ impl<T: PacketTap> Coord<T> {
                     self.fast.counters.completed += 1;
                     self.fast.counters.bytes_completed += req;
                     if let Some(d) = latency {
-                        self.latencies.push(d);
+                        plant.latencies.push(d);
                     }
                 }
                 FastKind::RespDone {
@@ -1270,20 +1168,19 @@ impl<T: PacketTap> Coord<T> {
                     let _ = conn;
                     self.fast.counters.bytes_completed += resp;
                     if shared.record_latencies {
-                        self.latencies.push(latency);
+                        plant.latencies.push(latency);
                     }
                 }
                 FastKind::Demote { conn } => {
-                    if self.slot_live(conn) {
-                        self.demote_to_packet(parts, conn, ev.at);
+                    if plant.slot_live(conn) {
+                        self.demote_to_packet(plant, conn, ev.at);
                     }
                 }
                 FastKind::Abort { conn, bytes } => {
                     self.fast.counters.aborted_messages += 1;
                     self.fast.counters.bytes_aborted += bytes;
-                    if self.slot_live(conn) && self.fast.is_fast(conn.index()) {
-                        let cpart = self.slots[conn.index()].cpart as usize;
-                        if let Some(c) = parts[cpart].clients[conn.index()].as_mut() {
+                    if plant.slot_live(conn) && self.fast.is_fast(conn.index()) {
+                        if let Some(c) = plant.clients[conn.index()].as_mut() {
                             if c.phase != ConnPhase::Closed {
                                 c.phase = ConnPhase::Closed;
                                 self.fast.counters.aborted_flows += 1;
@@ -1296,12 +1193,11 @@ impl<T: PacketTap> Coord<T> {
                     }
                 }
                 FastKind::Close { conn } => {
-                    if !self.slot_live(conn) {
+                    if !plant.slot_live(conn) {
                         continue;
                     }
                     if self.fast.is_fast(conn.index()) {
-                        let cpart = self.slots[conn.index()].cpart as usize;
-                        if let Some(c) = parts[cpart].clients[conn.index()].as_mut() {
+                        if let Some(c) = plant.clients[conn.index()].as_mut() {
                             if c.phase != ConnPhase::Closed {
                                 c.phase = ConnPhase::Closed;
                                 self.fast.push(
@@ -1313,14 +1209,11 @@ impl<T: PacketTap> Coord<T> {
                     } else {
                         // The flow demoted between FIN issue and FIN
                         // instant: close it the packet way.
-                        let cpart = self.slots[conn.index()].cpart as usize;
-                        let seq = self.ext_seq;
-                        self.ext_seq += 1;
-                        parts[cpart].push_ext(ev.at, seq, Ev::Close { conn });
+                        plant.push_ext(ev.at, Ev::Close { conn });
                     }
                 }
                 FastKind::Retire { idx } => {
-                    self.free_conns.push(idx);
+                    plant.free_conns.push(idx);
                 }
             }
         }
@@ -1358,111 +1251,94 @@ impl<T: PacketTap> Simulator<T> {
         self.flush_fast_gauges();
     }
 
-    /// Runs lockstep windows until `mode` says stop: at each barrier the
-    /// boundary packets merge and the next window is planned, then every
-    /// partition drains that window in index order on this thread. The
-    /// barrier planner also interleaves the hybrid fast calendar, at
-    /// fixed, state-independent points: once no packet event at or
-    /// before the next fast instant `tf` is pending, the packet clock
-    /// rests at `tf` and every fast event due there applies on the
-    /// coordinator; until then, windows end one nanosecond past `tf`.
+    /// Runs windows until `mode` says stop: at each barrier the window's
+    /// products are handed over and the next window is planned, then the
+    /// plant drains that window. The barrier planner also interleaves
+    /// the hybrid fast calendar, at fixed, state-independent points: once
+    /// no packet event at or before the next fast instant `tf` is
+    /// pending, the packet clock rests at `tf` and every fast event due
+    /// there applies; until then, windows end one nanosecond past `tf`.
     fn run_windows(&mut self, mode: StopMode) {
+        use sonet_util::obs;
         let shared = &self.shared;
         let coord = &mut self.coord;
-        let parts = &mut self.parts[..];
-        // Flight-recorder handles, resolved once per run. Everything
-        // recorded below is write-only side-channel state (DESIGN.md
-        // §11): nothing feeds back into event processing, so the
-        // calendar stays byte-identical with observability off or on.
-        let part_ev_counters: Option<Vec<_>> = sonet_util::obs::on().then(|| {
-            (0..parts.len())
-                .map(|i| {
-                    sonet_util::obs::metrics::global().counter(&format!("engine.part{i}.events"))
-                })
-                .collect()
-        });
-        // Scalar counters ride the same 64-window flush cadence as the
-        // per-partition batch: boundary events accumulate here, and the
-        // barrier and drain counters are published as the delta of
-        // `coord.pstats` since `flushed`. The zero-delta flush below
-        // registers them up front, so every observed run reports them in
-        // its RUNINFO manifest.
-        let mut boundary_events = 0u64;
+        let plant = &mut self.plant;
+        // Everything recorded below is write-only side-channel state
+        // (DESIGN.md §11): nothing feeds back into event processing, so
+        // the calendar stays byte-identical with observability off or
+        // on. The counters are published as the delta of `coord.pstats`
+        // since `flushed`; the flush below registers them up front, so
+        // every observed run reports them in its RUNINFO manifest.
+        let obs_on = obs::on();
         let mut flushed = coord.pstats;
-        if sonet_util::obs::on() {
-            flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
+        if obs_on {
+            flush_counters(&coord.pstats, &mut flushed);
         }
         let mut win_start_us: Option<u64> = None;
         let mut win_idx: u64 = 0;
-        let mut pending_part_events: Vec<u64> = vec![0; parts.len()];
+        // Where the clock last rested — the run's start or the latest
+        // fast instant. A drained window leaves `plant.now` at its end,
+        // past the last event, so a natural quiesce ends at the later of
+        // this and the last handled event.
+        let mut rested = plant.now;
         loop {
             if let Some(start) = win_start_us.take() {
-                sonet_util::obs::trace::complete(
-                    "engine.window",
-                    sonet_util::obs::trace::Category::Window,
-                    start,
-                );
+                obs::trace::complete("engine.window", obs::trace::Category::Window, start);
             }
-            boundary_events += barrier_merge(coord, parts);
-            for p in parts.iter_mut() {
-                coord.pstats.events += p.window_counted;
-                p.window_counted = 0;
-            }
-            if let Some(busiest) = parts.iter().map(|p| p.window_events).max() {
-                coord.pstats.bottleneck_events += busiest;
-            }
-            if sonet_util::obs::timeline::installed() {
+            barrier_merge(coord, plant);
+            coord.pstats.events += plant.window_events;
+            coord.pstats.bottleneck_events += plant.window_events;
+            if obs::timeline::installed() {
                 // Streaming-timeline window hook: the snapshot scheduler
                 // fires when the sim clock crosses the `--obs-interval`
                 // schedule. Write-only side channel; two relaxed loads
                 // when nothing is due.
-                let now = parts.iter().map(|p| p.now).max().unwrap_or(coord.now);
-                sonet_util::obs::timeline::window_tick(now.as_nanos());
+                obs::timeline::window_tick(plant.now.as_nanos());
             }
-            if let Some(ctrs) = &part_ev_counters {
+            if obs_on {
+                if obs::deep() && plant.window_events > 0 {
+                    obs::hist_observe!(
+                        "engine.events_per_window",
+                        plant.window_events,
+                        obs::metrics::BOUNDS_POW4
+                    );
+                }
                 win_idx += 1;
-                let flush = win_idx.is_multiple_of(OBS_FLUSH_WINDOWS);
-                record_window_metrics(parts, ctrs, &mut pending_part_events, flush);
-                if flush {
-                    flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
+                if win_idx.is_multiple_of(OBS_FLUSH_WINDOWS) {
+                    flush_counters(&coord.pstats, &mut flushed);
+                    flush_gauges(plant);
                 }
             }
-            for p in parts.iter_mut() {
-                p.window_events = 0;
-            }
+            plant.window_events = 0;
             // The fast calendar's next instant this run may reach, and
             // the packet calendar head. While no packet event at or
-            // before `tf` is pending, rest every clock at `tf` and apply
+            // before `tf` is pending, rest the clock at `tf` and apply
             // the fast events due there (they may schedule packet events
             // at `tf` and fast events later on).
             let (next, tf) = loop {
-                let next = parts.iter().filter_map(|p| p.events.peek_at()).min();
+                let next = plant.events.peek_at();
                 let tf = coord.fast.peek_at().filter(|&tf| match mode {
                     StopMode::Until(until) => tf <= until,
                     StopMode::Quiescence => true,
                 });
                 match tf {
                     Some(tf) if next.is_none_or(|t| t > tf) => {
-                        for p in parts.iter_mut() {
-                            p.now = tf;
-                        }
-                        coord.now = tf;
-                        coord.apply_fast_due(shared, parts, tf);
+                        plant.now = tf;
+                        rested = tf;
+                        coord.apply_fast_due(shared, plant, tf);
                     }
                     _ => break (next, tf),
                 }
             };
             if coord.audit_barriers {
-                let now = parts.iter().map(|p| p.now).max().unwrap_or(coord.now);
-                if let Err(report) = audit_parts(shared, parts, now) {
+                if let Err(report) = audit_plant(shared, plant) {
                     panic!("barrier audit failed: {report}");
                 }
             }
-            // Window horizon: no event handled at or after `next` can
-            // reach another partition before `next + lookahead`. The
-            // window also stops one nanosecond past the next fast
-            // instant, else past `until`; a quiescing run with no fast
-            // event left runs on while real events remain.
+            // Window horizon: at most `WINDOW_CAP` past the calendar
+            // head. The window also stops one nanosecond past the next
+            // fast instant, else past `until`; a quiescing run with no
+            // fast event left runs on while real events remain.
             let cap = tf.or(match mode {
                 StopMode::Until(until) => Some(until),
                 StopMode::Quiescence => None,
@@ -1470,59 +1346,41 @@ impl<T: PacketTap> Simulator<T> {
             let wend = match cap {
                 Some(cap) => next
                     .filter(|&t| t <= cap)
-                    .map(|t| (cap + SimDuration::from_nanos(1)).min(t + shared.pmap.lookahead)),
-                None => {
-                    let real: u64 = parts.iter().map(|p| p.real_events).sum();
-                    (real > 0).then(|| {
-                        next.expect("real events imply a calendar head") + shared.pmap.lookahead
-                    })
-                }
+                    .map(|t| (cap + SimDuration::from_nanos(1)).min(t + WINDOW_CAP)),
+                None => (plant.real_events > 0)
+                    .then(|| next.expect("real events imply a calendar head") + WINDOW_CAP),
             };
             let Some(wend) = wend else {
-                // Epilogue: rest the clock exactly where the serial
-                // contract says — at `until`, or at the last handled
-                // event for a natural quiesce.
-                let end = match mode {
+                // Epilogue: rest the clock at `until`, or at the last
+                // handled event for a natural quiesce.
+                plant.now = match mode {
                     StopMode::Until(until) => until,
-                    StopMode::Quiescence => parts
-                        .iter()
-                        .map(|p| p.last_at)
-                        .max()
-                        .unwrap_or(coord.now)
-                        .max(coord.now),
+                    StopMode::Quiescence => plant.last_at.max(rested),
                 };
-                for p in parts.iter_mut() {
-                    p.now = end;
-                }
-                coord.now = end;
                 // Final drain: whatever the 64-window batching still
                 // holds lands in the registry before the run's RUNINFO
                 // snapshot is taken.
-                if let Some(ctrs) = &part_ev_counters {
-                    flush_window_metrics(parts, ctrs, &mut pending_part_events);
-                    flush_scalar_metrics(&coord.pstats, &mut flushed, &mut boundary_events);
+                if obs_on {
+                    flush_counters(&coord.pstats, &mut flushed);
+                    flush_gauges(plant);
                 }
                 return;
             };
-            for p in parts.iter_mut() {
-                p.wend = wend;
-            }
+            plant.wend = wend;
             coord.pstats.barriers += 1;
-            if sonet_util::obs::on() {
+            if obs_on {
                 let t = next.expect("a scheduled window has a calendar head");
-                sonet_util::obs::hist_observe!(
+                obs::hist_observe!(
                     "engine.effective_lookahead_ns",
                     (wend - t).as_nanos(),
-                    sonet_util::obs::metrics::BOUNDS_POW4
+                    obs::metrics::BOUNDS_POW4
                 );
             }
-            if sonet_util::obs::deep() {
-                win_start_us = Some(sonet_util::obs::trace::now_us());
+            if obs::deep() {
+                win_start_us = Some(obs::trace::now_us());
             }
             let drain_start = std::time::Instant::now();
-            for p in parts.iter_mut() {
-                p.drain_window(shared);
-            }
+            plant.drain_window(shared);
             let drain_ns = drain_start.elapsed().as_nanos() as u64;
             coord.pstats.busy_ns += drain_ns;
             coord.pstats.wall_ns += drain_ns;
@@ -1532,50 +1390,38 @@ impl<T: PacketTap> Simulator<T> {
     /// Finishes the run: flushes telemetry windows and returns the outputs
     /// together with the tap.
     pub fn finish(mut self) -> (SimOutputs, T) {
-        let mut tail = Vec::new();
-        for p in &mut self.parts {
-            p.flush_buffer_windows();
-            tail.append(&mut p.window_stats);
-        }
-        tail.sort_by_key(|(start, orig, _)| (*start, *orig));
-        self.coord
-            .buffer_stats
-            .extend(tail.into_iter().map(|(_, _, s)| s));
+        let plant = &mut self.plant;
+        plant.flush_buffer_windows();
+        barrier_merge(&mut self.coord, plant);
 
-        let n_links = self.shared.topo.links().len();
-        let mut link_counters = Vec::with_capacity(n_links);
         let mut util_series = HashMap::new();
-        for li in 0..n_links {
-            let owner = self.shared.pmap.part_of_link[li] as usize;
-            link_counters.push(self.parts[owner].link_counters[li]);
-            if self.shared.util_tracked[li] {
+        for (li, &tracked) in self.shared.util_tracked.iter().enumerate() {
+            if tracked {
                 util_series.insert(
                     LinkId(li as u32),
-                    std::mem::take(&mut self.parts[owner].util_series[li]),
+                    std::mem::take(&mut plant.util_series[li]),
                 );
             }
         }
-        let sum = |f: fn(&part::Counters) -> u64| -> u64 {
-            self.parts.iter().map(|p| f(&p.counters)).sum()
-        };
+        let c = plant.counters;
         let fc = self.coord.fast.counters;
         let outputs = SimOutputs {
-            link_counters,
+            link_counters: std::mem::take(&mut plant.link_counters),
             util_series,
             util_interval: self.shared.util_interval,
             buffer_stats: std::mem::take(&mut self.coord.buffer_stats),
-            emitted_packets: sum(|c| c.emitted_packets),
-            delivered_packets: sum(|c| c.delivered_packets),
-            completed_requests: sum(|c| c.completed_requests) + fc.completed,
-            messages_on_closed: sum(|c| c.messages_on_closed) + fc.on_closed,
-            stale_packets: sum(|c| c.stale_packets),
-            faults_applied: sum(|c| c.faults_applied),
-            reroutes: sum(|c| c.reroutes),
-            reroute_failures: sum(|c| c.reroute_failures),
-            failed_handshakes: sum(|c| c.failed_handshakes),
-            aborted_connections: sum(|c| c.aborted_connections) + fc.aborted_flows,
-            gray_dropped_packets: sum(|c| c.gray_dropped_packets),
-            rpc_latencies: std::mem::take(&mut self.coord.latencies),
+            emitted_packets: c.emitted_packets,
+            delivered_packets: c.delivered_packets,
+            completed_requests: c.completed_requests + fc.completed,
+            messages_on_closed: c.messages_on_closed + fc.on_closed,
+            stale_packets: c.stale_packets,
+            faults_applied: c.faults_applied,
+            reroutes: c.reroutes,
+            reroute_failures: c.reroute_failures,
+            failed_handshakes: c.failed_handshakes,
+            aborted_connections: c.aborted_connections + fc.aborted_flows,
+            gray_dropped_packets: c.gray_dropped_packets,
+            rpc_latencies: std::mem::take(&mut plant.latencies),
             flows_fast: fc.flows_fast,
             flows_packet: fc.flows_packet,
             fast_path_demotions: fc.demotions,
@@ -1583,72 +1429,34 @@ impl<T: PacketTap> Simulator<T> {
             fast_bytes_offered: fc.bytes_offered,
             fast_bytes_completed: fc.bytes_completed,
             fast_bytes_aborted: fc.bytes_aborted,
-            ended_at: self.coord.now,
+            ended_at: plant.now,
         };
         (outputs, self.coord.tap)
     }
 }
 
-/// Publishes per-barrier flight-recorder metrics: window event volume and
-/// balance, per-partition event counters, calendar size, and cumulative
-/// drops by cause. Called from the coordinator between phases, only when
-/// observability is on; purely write-only into the obs side channel.
-///
-/// Hybrid runs cut a window at every fast-path event instant (the two
-/// calendars interleave there), so they still cross tens of thousands of
-/// barriers per simulated half-second — about 35k on the standard
-/// capture — and per-window registry traffic is a measurable tax (CI
-/// pins `--obs summary` to ≤2% of events/sec).
-/// Counters therefore accumulate into `pending` (one slot per partition)
-/// and flush every `OBS_FLUSH_WINDOWS` barriers of a run call — exact
-/// totals, just batched, with the epilogue draining the remainder. The
-/// fast-path interleave runs inside the barrier planner, so one batch
-/// spans any number of fast instants. Gauges refresh on the same cadence
-/// (they are last-write snapshots, so sampling loses nothing at the end
-/// of the run), and the per-window distribution histograms ride with the
-/// other per-window detail in deep mode.
+/// Flight-recorder flush cadence, in windows. Hybrid runs cut a window at
+/// every fast-path event instant (the two calendars interleave there),
+/// so they still cross tens of thousands of barriers per simulated
+/// half-second — about 35k on the standard capture — and per-window
+/// registry traffic is a measurable tax (CI pins `--obs summary` to ≤2%
+/// of events/sec). The counters therefore publish every
+/// `OBS_FLUSH_WINDOWS` barriers of a run call — exact totals, just
+/// batched, with the epilogue publishing the remainder. Gauges refresh
+/// on the same cadence (they are last-write snapshots, so sampling loses
+/// nothing at the end of the run), and the per-window distribution
+/// histogram rides with the other per-window detail in deep mode.
 const OBS_FLUSH_WINDOWS: u64 = 64;
 
-fn record_window_metrics(
-    parts: &[Partition],
-    ctrs: &[std::sync::Arc<sonet_util::obs::metrics::Counter>],
-    pending: &mut [u64],
-    flush: bool,
-) {
+/// Publishes `engine.events`, `engine.barriers` and `engine.drain_ns` as
+/// the delta of `pstats` since `flushed` (the snapshot of the last
+/// flush). The latter two are added even at a zero delta, so every
+/// observed run reports them.
+fn flush_counters(pstats: &ParallelStats, flushed: &mut ParallelStats) {
     use sonet_util::obs;
-    for (acc, p) in pending.iter_mut().zip(parts) {
-        *acc += p.window_events;
-    }
-    if obs::deep() {
-        let total: u64 = parts.iter().map(|p| p.window_events).sum();
-        if total > 0 {
-            obs::hist_observe!("engine.events_per_window", total, obs::metrics::BOUNDS_POW4);
-            let busiest = parts.iter().map(|p| p.window_events).max().unwrap_or(0);
-            let lightest = parts.iter().map(|p| p.window_events).min().unwrap_or(0);
-            if parts.len() > 1 && busiest > 0 {
-                obs::hist_observe!(
-                    "engine.barrier_balance_permille",
-                    lightest * 1000 / busiest,
-                    obs::metrics::BOUNDS_PERMILLE
-                );
-            }
-        }
-    }
-    if flush {
-        flush_window_metrics(parts, ctrs, pending);
-    }
-}
-
-/// Publishes the scalar engine counters on the same cadence as
-/// `flush_window_metrics`: the boundary events batched in `boundary`, and
-/// `engine.barriers` and `engine.drain_ns` as the delta of `pstats` since
-/// `flushed` (the snapshot of the last flush). Those two are added even
-/// at a zero delta, so every observed run reports them.
-fn flush_scalar_metrics(pstats: &ParallelStats, flushed: &mut ParallelStats, boundary: &mut u64) {
-    use sonet_util::obs;
-    if *boundary > 0 {
-        obs::counter_add!("engine.boundary_events", *boundary);
-        *boundary = 0;
+    let events = pstats.events - flushed.events;
+    if events > 0 {
+        obs::counter_add!("engine.events", events);
     }
     let m = obs::metrics::global();
     m.counter("engine.barriers")
@@ -1658,195 +1466,45 @@ fn flush_scalar_metrics(pstats: &ParallelStats, flushed: &mut ParallelStats, bou
     *flushed = *pstats;
 }
 
-/// Drains the batched per-partition counters and refreshes the snapshot
-/// gauges. Runs on the flush cadence and once more from the epilogue, so
-/// RUNINFO finals are exact regardless of where the run stopped.
-fn flush_window_metrics(
-    parts: &[Partition],
-    ctrs: &[std::sync::Arc<sonet_util::obs::metrics::Counter>],
-    pending: &mut [u64],
-) {
+/// Refreshes the snapshot gauges: calendar size and cumulative drops by
+/// cause.
+fn flush_gauges(plant: &Plant) {
     use sonet_util::obs;
-    let total: u64 = pending.iter().sum();
-    if total > 0 {
-        obs::counter_add!("engine.events", total);
-        for (acc, ctr) in pending.iter_mut().zip(ctrs) {
-            if *acc > 0 {
-                ctr.add(*acc);
-                *acc = 0;
-            }
-        }
-    }
-    obs::gauge_set!(
-        "engine.calendar_events",
-        parts.iter().map(|p| p.real_events).sum::<u64>()
-    );
-    let sum = |f: fn(&part::Counters) -> u64| -> u64 { parts.iter().map(|p| f(&p.counters)).sum() };
-    obs::gauge_set!("engine.drop.stale_packets", sum(|c| c.stale_packets));
-    obs::gauge_set!(
-        "engine.drop.messages_on_closed",
-        sum(|c| c.messages_on_closed)
-    );
-    obs::gauge_set!("engine.drop.reroute_failures", sum(|c| c.reroute_failures));
-    obs::gauge_set!("engine.drop.gray_packets", sum(|c| c.gray_dropped_packets));
-    obs::gauge_set!(
-        "engine.drop.aborted_connections",
-        sum(|c| c.aborted_connections)
-    );
+    let c = &plant.counters;
+    obs::gauge_set!("engine.calendar_events", plant.real_events);
+    obs::gauge_set!("engine.drop.stale_packets", c.stale_packets);
+    obs::gauge_set!("engine.drop.messages_on_closed", c.messages_on_closed);
+    obs::gauge_set!("engine.drop.reroute_failures", c.reroute_failures);
+    obs::gauge_set!("engine.drop.gray_packets", c.gray_dropped_packets);
+    obs::gauge_set!("engine.drop.aborted_connections", c.aborted_connections);
 }
 
-/// Exchanges every cross-partition product of the completed window, in
-/// canonical order. Runs on the coordinator thread between phases; also a
+/// Hands the completed window's products to their consumers: tap calls
+/// in the order the calendar produced them, then completed buffer
+/// windows ordered by (window start, position in the caller's switch
+/// list) — the order a single sampler emits; region shards flush
+/// independently, so their windows interleave out of that order. A
 /// no-op on a fresh simulator, so the window loop calls it
-/// unconditionally. Returns the number of boundary events delivered so
-/// the caller can batch the `engine.boundary_events` counter.
-fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, parts: &mut [Partition]) -> u64 {
-    let n = parts.len();
-
-    // 1. Boundary events: outbox → target calendar, coalesced per target
-    //    across every source so each target's calendar grows once per
-    //    barrier instead of once per partition pair. Every entry carries
-    //    its (time, source, seq) key, so calendar order — not delivery order
-    //    — decides processing order.
-    let mut boundary: u64 = 0;
-    let mut incoming: Vec<Vec<Scheduled>> = vec![Vec::new(); n];
-    for src in parts.iter_mut() {
-        // Per-source outbox histograms are deep-mode detail: they would
-        // cost `partitions` registry ops on every window in summary mode.
-        if sonet_util::obs::deep() {
-            let depth: usize = src.outbox.iter().map(Vec::len).sum();
-            sonet_util::obs::hist_observe!(
-                "engine.outbox_depth",
-                depth as u64,
-                sonet_util::obs::metrics::BOUNDS_POW4
-            );
-        }
-        for (tgt, evs) in src.outbox.iter_mut().enumerate() {
-            incoming[tgt].append(evs);
-        }
-    }
-    for (tgt, evs) in incoming.into_iter().enumerate() {
-        if evs.is_empty() {
-            continue;
-        }
-        boundary += evs.len() as u64;
-        let p = &mut parts[tgt];
-        p.real_events += evs.len() as u64;
-        for s in evs {
-            debug_assert!(s.at >= p.now, "lookahead violation");
-            p.events.push(s);
-        }
-    }
-
-    // A partition drains its window in key order, so each per-partition
-    // product buffer is already key-sorted — the canonical merge sort is
-    // only needed when more than one partition contributed this window.
-
-    // 2. Tap deliveries, merged across partitions by generating-event key
-    //    (exactly the order one calendar would produce them in).
-    let multi = parts.iter().filter(|p| !p.tap_buf.is_empty()).count() > 1;
-    let mut taps: Vec<part::TapCall> = Vec::new();
-    for p in parts.iter_mut() {
-        taps.append(&mut p.tap_buf);
-    }
-    if multi {
-        taps.sort_by_key(|t| t.key);
-    }
-    for t in &taps {
+/// unconditionally; `finish` calls it once more for the sampler's last
+/// windows.
+fn barrier_merge<T: PacketTap>(coord: &mut Coord<T>, plant: &mut Plant) {
+    for t in plant.tap_buf.drain(..) {
         coord.tap.on_packet(t.at, t.link, &t.pkt);
     }
-
-    // 3. RPC latency samples, same canonical order.
-    let multi = parts.iter().filter(|p| !p.lat_buf.is_empty()).count() > 1;
-    let mut lats: Vec<(EvKey, SimDuration)> = Vec::new();
-    for p in parts.iter_mut() {
-        lats.append(&mut p.lat_buf);
-    }
-    if multi {
-        lats.sort_by_key(|(k, _)| *k);
-    }
-    coord.latencies.extend(lats.into_iter().map(|(_, d)| d));
-
-    // 4. Completed buffer windows, ordered by (window start, position in
-    //    the caller's switch list) — the order the serial sampler emits.
-    //    Always sorted: one partition can own several region shards whose
-    //    flushes interleave out of (start, orig) order.
-    let mut wins: Vec<(SimTime, u32, BufferWindowStat)> = Vec::new();
-    for p in parts.iter_mut() {
-        wins.append(&mut p.window_stats);
-    }
-    wins.sort_by_key(|(start, orig, _)| (*start, *orig));
+    plant
+        .window_stats
+        .sort_by_key(|(start, orig, _)| (*start, *orig));
     coord
         .buffer_stats
-        .extend(wins.into_iter().map(|(_, _, s)| s));
-
-    // 5. Cross-region aborts: the peer learns one notification delay
-    //    after the abort instant — like a RST surfacing after the fabric
-    //    round-trip. Tying the notification to the abort's own timestamp
-    //    (not the barrier position) keeps results independent of how the
-    //    caller slices its `run_until` horizon: no window ever extends
-    //    past its start by more than `lookahead <= ABORT_NOTIFY_DELAY`,
-    //    so the notification is never in the peer's past.
-    let multi = parts.iter().filter(|p| !p.aborted_buf.is_empty()).count() > 1;
-    let mut aborts: Vec<(EvKey, ConnId, bool)> = Vec::new();
-    for p in parts.iter_mut() {
-        aborts.append(&mut p.aborted_buf);
-    }
-    if multi {
-        aborts.sort_by_key(|(k, _, _)| *k);
-    }
-    for (key, conn, client_aborted) in aborts {
-        let slot = coord.slots[conn.index()];
-        if slot.gen != conn.gen {
-            continue;
-        }
-        let (peer, peer_is_client) = if client_aborted {
-            (slot.spart as usize, false)
-        } else {
-            (slot.cpart as usize, true)
-        };
-        let at = key.0 + ABORT_NOTIFY_DELAY;
-        debug_assert!(
-            at >= parts[peer].now,
-            "abort notification lands in the peer's past"
-        );
-        let seq = coord.ext_seq;
-        coord.ext_seq += 1;
-        parts[peer].push_ext(
-            at,
-            seq,
-            Ev::PeerGone {
-                conn,
-                client: peer_is_client,
-            },
-        );
-    }
-
-    // 6. Retired slots become reusable in retiring-event order — the
-    //    same order one calendar would grow `free_conns` in, whatever
-    //    the partition count.
-    let multi = parts.iter().filter(|p| !p.retired_buf.is_empty()).count() > 1;
-    let mut retired: Vec<(EvKey, u32)> = Vec::new();
-    for p in parts.iter_mut() {
-        retired.append(&mut p.retired_buf);
-    }
-    if multi {
-        retired.sort_by_key(|(k, _)| *k);
-    }
-    coord
-        .free_conns
-        .extend(retired.into_iter().map(|(_, idx)| idx));
-
-    boundary
+        .extend(plant.window_stats.drain(..).map(|(_, _, s)| s));
 }
 
 // ---------------------------------------------------------------------
 // Checkpoint / restore
 // ---------------------------------------------------------------------
 
-/// Serialized sampler state: the canonical (partition-independent) view — the
-/// full switch list in registration order with each switch's in-window
-/// samples.
+/// Serialized sampler state: the canonical view — the full switch list
+/// in registration order with each switch's in-window samples.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct BufSamplerCkpt {
     interval: SimDuration,
@@ -1858,16 +1516,15 @@ struct BufSamplerCkpt {
 
 /// Serialized dynamic state of a [`Simulator`].
 ///
-/// Contains everything the engine mutates, merged across partitions into
-/// a canonical single-plant view: the event calendar (sorted by
+/// Contains everything the engine mutates: the event calendar (sorted by
 /// `(time, source, seq)` key), both endpoint tables, link and switch
 /// state, telemetry accumulators, and totals — plus the [`SimConfig`] it
 /// ran under. Topology-derived tables are rebuilt from the topology
 /// passed to [`Simulator::restore`], so a checkpoint stays small and
-/// cannot disagree with the plant it is replayed against. Because the
-/// view is canonical — events keyed by topology-fixed regions, fault
-/// replicas deduplicated, sequence counters region-indexed — checkpoint
-/// bytes depend only on the simulated state.
+/// cannot disagree with the plant it is replayed against. Events are
+/// keyed by topology-fixed regions and sequence counters are
+/// region-indexed, so checkpoint bytes depend only on the simulated
+/// state.
 ///
 /// Checkpoints from older format versions fail to restore — resuming
 /// one requires the release that wrote it.
@@ -1878,8 +1535,7 @@ pub struct EngineCheckpoint {
     now: SimTime,
     events: Vec<Scheduled>,
     /// Per-region event sequence counters, indexed by region (clusters,
-    /// then per-DC hub tiers, then the backbone) — partition-count-
-    /// independent because event sources are regions, not partitions.
+    /// then per-DC hub tiers, then the backbone).
     next_seqs: Vec<u64>,
     ext_seq: u64,
     conns_client: Vec<Option<Conn>>,
@@ -1937,78 +1593,38 @@ impl<T: PacketTap> Simulator<T> {
     /// time the public API can observe the engine anyway.
     pub fn checkpoint(&self) -> EngineCheckpoint {
         let sh = &self.shared;
-        let n_links = sh.topo.links().len();
-        let n_switches = sh.topo.switches().len();
+        let p = &self.plant;
 
-        let mut events: Vec<Scheduled> = self.parts.iter().flat_map(|p| p.events.iter()).collect();
+        let mut events: Vec<Scheduled> = p.events.iter().collect();
         events.sort_by_key(Scheduled::key);
-        // Fault events are replicated into every partition under one
-        // shared key; the canonical calendar keeps a single copy (restore
-        // fans it back out), so the bytes are partition-count-independent.
-        events.dedup_by(|a, b| a.key() == b.key());
 
-        let n_slots = self.coord.slots.len();
-        let mut conns_client: Vec<Option<Conn>> = vec![None; n_slots];
-        let mut conns_server: Vec<Option<Conn>> = vec![None; n_slots];
-        // Two passes: the server filter below consults the client table,
-        // and a conn's server half may live in a lower-indexed partition
-        // than its client half.
-        for p in &self.parts {
-            for (i, c) in p.clients.iter().enumerate() {
-                if let Some(c) = c {
-                    conns_client[i] = Some(c.clone());
-                }
-            }
-        }
-        for p in &self.parts {
-            for (i, c) in p.servers.iter().enumerate() {
-                if let Some(c) = c {
-                    // The canonical server endpoint is the one matching
-                    // the current client generation; stale halves left in
-                    // other partitions by slot reuse stay behind (they
-                    // only ever absorb stragglers).
-                    let current = conns_client[i]
-                        .as_ref()
-                        .is_some_and(|cl| cl.id.gen == c.id.gen);
-                    if current {
-                        conns_server[i] = Some(c.clone());
-                    }
-                }
-            }
-        }
-
-        let mut link_free_at = vec![SimTime::ZERO; n_links];
-        let mut link_backlog = vec![0u64; n_links];
-        let mut link_counters = vec![LinkCounters::default(); n_links];
-        let mut link_rate_factor = vec![1.0f64; n_links];
-        let mut link_gray = vec![0.0f64; n_links];
-        let mut link_gray_seq = vec![0u64; n_links];
-        let mut util_series = Vec::new();
-        for li in 0..n_links {
-            let owner = &self.parts[sh.pmap.part_of_link[li] as usize];
-            link_free_at[li] = owner.link_free_at[li];
-            link_backlog[li] = owner.link_backlog[li];
-            link_counters[li] = owner.link_counters[li];
-            link_rate_factor[li] = owner.link_rate_factor[li];
-            link_gray[li] = owner.link_gray[li];
-            link_gray_seq[li] = owner.link_gray_seq[li];
-            if sh.util_tracked[li] {
-                util_series.push((LinkId(li as u32), owner.util_series[li].clone()));
-            }
-        }
-        let mut switch_occ = vec![0u64; n_switches];
-        for (si, occ) in switch_occ.iter_mut().enumerate() {
-            *occ = self.parts[sh.pmap.part_of_switch[si] as usize].switch_occ[si];
-        }
+        // The server endpoint recorded is the one matching the current
+        // client generation; a stale half created by a straggler SYN of
+        // an earlier incarnation stays behind (it only ever absorbs
+        // stragglers).
+        let conns_server = p
+            .servers
+            .iter()
+            .zip(&p.clients)
+            .map(|(s, c)| match (s, c) {
+                (Some(s), Some(c)) if s.id.gen == c.id.gen => Some(s.clone()),
+                _ => None,
+            })
+            .collect();
+        let util_series = sh
+            .util_tracked
+            .iter()
+            .enumerate()
+            .filter(|(_, &tracked)| tracked)
+            .map(|(li, _)| (LinkId(li as u32), p.util_series[li].clone()))
+            .collect();
 
         // Reassemble the canonical sampler from the per-region shards,
         // ordered by each switch's position in the original registration.
-        let mut shard_refs: Vec<(&PartSampler, usize)> = Vec::new();
-        for p in &self.parts {
-            for s in &p.buf_samplers {
-                for i in 0..s.switches.len() {
-                    shard_refs.push((s, i));
-                }
+        let mut shard_refs: Vec<(&SamplerShard, usize)> = Vec::new();
+        for s in &p.samplers {
+            for i in 0..s.switches.len() {
+                shard_refs.push((s, i));
             }
         }
         shard_refs.sort_by_key(|(s, i)| s.orig[*i]);
@@ -2023,51 +1639,47 @@ impl<T: PacketTap> Simulator<T> {
                 .collect(),
         });
 
-        let sum = |f: fn(&part::Counters) -> u64| -> u64 {
-            self.parts.iter().map(|p| f(&p.counters)).sum()
-        };
+        let c = &p.counters;
         EngineCheckpoint {
             version: CHECKPOINT_VERSION,
             cfg: sh.cfg.clone(),
-            now: self.coord.now,
+            now: p.now,
             events,
-            next_seqs: (0..sh.pmap.n_regions as usize)
-                .map(|r| self.parts[sh.pmap.part_of_region[r] as usize].next_seqs[r])
-                .collect(),
-            ext_seq: self.coord.ext_seq,
-            conns_client,
+            next_seqs: p.next_seqs.clone(),
+            ext_seq: p.ext_seq,
+            conns_client: p.clients.clone(),
             conns_server,
-            free_conns: self.coord.free_conns.clone(),
+            free_conns: p.free_conns.clone(),
             next_port: self.coord.next_port.clone(),
-            link_free_at,
-            link_backlog,
-            link_counters,
-            link_rate_factor,
-            link_gray,
-            link_gray_seq,
-            health: self.parts[0].health.clone(),
+            link_free_at: p.link_free_at.clone(),
+            link_backlog: p.link_backlog.clone(),
+            link_counters: p.link_counters.clone(),
+            link_rate_factor: p.link_rate_factor.clone(),
+            link_gray: p.link_gray.clone(),
+            link_gray_seq: p.link_gray_seq.clone(),
+            health: p.health.clone(),
             watched: sh.watched.clone(),
             util_tracked: sh.util_tracked.clone(),
-            switch_occ,
+            switch_occ: p.switch_occ.clone(),
             util_interval: sh.util_interval,
             util_series,
             buf_sampler,
             buffer_stats: self.coord.buffer_stats.clone(),
-            emitted_packets: sum(|c| c.emitted_packets),
-            delivered_packets: sum(|c| c.delivered_packets),
-            completed_requests: sum(|c| c.completed_requests),
-            messages_on_closed: sum(|c| c.messages_on_closed),
-            stale_packets: sum(|c| c.stale_packets),
-            faults_applied: sum(|c| c.faults_applied),
-            reroutes: sum(|c| c.reroutes),
-            reroute_failures: sum(|c| c.reroute_failures),
-            failed_handshakes: sum(|c| c.failed_handshakes),
-            aborted_connections: sum(|c| c.aborted_connections),
-            gray_dropped_packets: sum(|c| c.gray_dropped_packets),
+            emitted_packets: c.emitted_packets,
+            delivered_packets: c.delivered_packets,
+            completed_requests: c.completed_requests,
+            messages_on_closed: c.messages_on_closed,
+            stale_packets: c.stale_packets,
+            faults_applied: c.faults_applied,
+            reroutes: c.reroutes,
+            reroute_failures: c.reroute_failures,
+            failed_handshakes: c.failed_handshakes,
+            aborted_connections: c.aborted_connections,
+            gray_dropped_packets: c.gray_dropped_packets,
             record_latencies: sh.record_latencies,
-            latencies: self.coord.latencies.clone(),
-            processed_events: self.parts.iter().map(|p| p.processed_events).sum(),
-            fast: self.coord.fast.to_ckpt(n_slots),
+            latencies: p.latencies.clone(),
+            processed_events: p.processed_events,
+            fast: self.coord.fast.to_ckpt(p.clients.len()),
         }
     }
 
@@ -2090,7 +1702,7 @@ impl<T: PacketTap> Simulator<T> {
         let n_links = sh.topo.links().len();
         let n_switches = sh.topo.switches().len();
         let n_hosts = sh.topo.hosts().len();
-        let n_regions = sh.pmap.n_regions as usize;
+        let n_regions = sh.regions.n_regions as usize;
         let bad = |what: &str| Err(SimError::Config(format!("checkpoint mismatch: {what}")));
         if ckpt.version != CHECKPOINT_VERSION {
             return bad("unsupported checkpoint version");
@@ -2160,10 +1772,8 @@ impl<T: PacketTap> Simulator<T> {
             return bad("connection endpoint references an out-of-range host");
         }
 
-        // Rebuild the slot registry from the client endpoints (the client
-        // half exists for every allocated slot and persists after
-        // retirement, so generation and both partitions are derivable).
-        let mut slots = Vec::with_capacity(n_slots);
+        // Every allocated slot has a client endpoint (it persists after
+        // retirement and carries the slot's generation).
         for (i, c) in ckpt.conns_client.iter().enumerate() {
             let Some(c) = c else {
                 return bad("allocated slot without a client endpoint");
@@ -2174,11 +1784,6 @@ impl<T: PacketTap> Simulator<T> {
             if c.route_fwd.iter().any(|l| l.index() >= n_links) {
                 return bad("connection route references an out-of-range link");
             }
-            slots.push(Slot {
-                gen: c.id.gen,
-                cpart: sh.pmap.part_of_host[c.key.client.index()],
-                spart: sh.pmap.part_of_host[c.key.server.index()],
-            });
         }
         for c in ckpt.conns_server.iter().flatten() {
             if c.route_rev.iter().any(|l| l.index() >= n_links) {
@@ -2200,19 +1805,65 @@ impl<T: PacketTap> Simulator<T> {
             if ev.seq >= issued {
                 return bad("calendar entry with an unissued sequence number");
             }
-            if let Ev::Transmit { pkt, .. } | Ev::Deliver { pkt } = &ev.ev {
-                let hops = pkt.route.checked().unwrap_or_default();
-                if hops.is_empty() || hops.iter().any(|l| l.index() >= n_links) {
-                    return bad("packet route is malformed or references an out-of-range link");
+            // What each event addresses must exist, or handling it would
+            // index past a table.
+            let unknown_slot = |conn: &ConnId| conn.index() >= n_slots;
+            match &ev.ev {
+                Ev::Transmit { pkt, .. } | Ev::Deliver { pkt } => {
+                    let hops = pkt.route.checked().unwrap_or_default();
+                    if hops.is_empty() || hops.iter().any(|l| l.index() >= n_links) {
+                        return bad("packet route is malformed or references an out-of-range link");
+                    }
+                    if !hosts_in_range(&pkt.p.key) {
+                        return bad("packet references an out-of-range host");
+                    }
+                    if matches!(ev.ev, Ev::Transmit { hop, .. } if hop as usize >= hops.len()) {
+                        return bad("transmit event beyond its route");
+                    }
                 }
-                if !hosts_in_range(&pkt.p.key) {
-                    return bad("packet references an out-of-range host");
+                Ev::Release { link, .. } if *link as usize >= n_links => {
+                    return bad("release event for an out-of-range link");
                 }
+                Ev::Rto { conn, .. } if unknown_slot(conn) => {
+                    return bad("timer event for an unknown slot");
+                }
+                Ev::Service { conn, .. } if unknown_slot(conn) => {
+                    return bad("service event for an unknown slot");
+                }
+                Ev::OpenConn { conn }
+                | Ev::SynRetry { conn }
+                | Ev::SendMsg { conn, .. }
+                | Ev::Close { conn }
+                | Ev::Retire { conn }
+                    if unknown_slot(conn) =>
+                {
+                    return bad("connection event for an unknown slot");
+                }
+                Ev::PeerGone { conn, .. } if unknown_slot(conn) => {
+                    return bad("peer-gone event for an unknown slot");
+                }
+                Ev::BufSample { region } if *region as usize >= n_regions => {
+                    return bad("buffer sample for an unknown region");
+                }
+                _ => {}
             }
         }
-        // The canonical calendar holds each event once — fault replicas
-        // included — so a shared key means a forged or corrupt file, and
-        // the next checkpoint's dedup would silently drop one of the two.
+        // Applying a fault indexes the link and switch tables, on both
+        // calendars.
+        let faults = ckpt
+            .events
+            .iter()
+            .filter_map(|e| match e.ev {
+                Ev::Fault { kind } => Some((e.at, kind)),
+                _ => None,
+            })
+            .chain(ckpt.fast.fault_sched.iter().map(|e| (e.at, e.kind)))
+            .fold(FaultPlan::new(), |plan, (at, kind)| plan.at(at, kind));
+        if let Err(e) = faults.validate(&sh.topo) {
+            return bad(&format!("fault event: {e}"));
+        }
+        // Each event is on the calendar once, so a shared key means a
+        // forged or corrupt file.
         let mut keys: Vec<EvKey> = ckpt.events.iter().map(Scheduled::key).collect();
         keys.sort_unstable();
         if keys.windows(2).any(|w| w[0] == w[1]) {
@@ -2235,63 +1886,10 @@ impl<T: PacketTap> Simulator<T> {
         if fast_keys.windows(2).any(|w| w[0] == w[1]) {
             return bad("two fast-path events share one event key");
         }
-
-        sim.coord.now = ckpt.now;
-        sim.coord.ext_seq = ckpt.ext_seq;
-        sim.coord.slots = slots;
-        sim.coord.free_conns = ckpt.free_conns;
-        sim.coord.next_port = ckpt.next_port;
-        sim.coord.buffer_stats = ckpt.buffer_stats;
-        sim.coord.latencies = ckpt.latencies;
-        sim.coord.fast.restore(ckpt.fast);
-        sim.shared.watched = ckpt.watched;
-        sim.shared.util_tracked = ckpt.util_tracked;
-        sim.shared.util_interval = ckpt.util_interval;
-        sim.shared.record_latencies = ckpt.record_latencies;
-        let sh = &sim.shared;
-
-        for p in &mut sim.parts {
-            p.now = ckpt.now;
-            p.wend = ckpt.now;
-            p.health = ckpt.health.clone();
-            p.clients.resize(n_slots, None);
-            p.servers.resize(n_slots, None);
+        if ckpt.util_series.iter().any(|(l, _)| l.index() >= n_links) {
+            return bad("utilization series references an out-of-range link");
         }
-        // Each region's counter lands on the partition that owns it.
-        for (r, &seq) in ckpt.next_seqs.iter().enumerate() {
-            let owner = sh.pmap.part_of_region[r] as usize;
-            sim.parts[owner].next_seqs[r] = seq;
-        }
-        for (i, c) in ckpt.conns_client.into_iter().enumerate() {
-            let cpart = sim.coord.slots[i].cpart as usize;
-            sim.parts[cpart].clients[i] = c;
-        }
-        for (i, c) in ckpt.conns_server.into_iter().enumerate() {
-            if let Some(c) = c {
-                let spart = sh.pmap.part_of_host[c.key.server.index()] as usize;
-                sim.parts[spart].servers[i] = Some(c);
-            }
-        }
-        for li in 0..n_links {
-            let owner = sh.pmap.part_of_link[li] as usize;
-            sim.parts[owner].link_free_at[li] = ckpt.link_free_at[li];
-            sim.parts[owner].link_backlog[li] = ckpt.link_backlog[li];
-            sim.parts[owner].link_counters[li] = ckpt.link_counters[li];
-            sim.parts[owner].link_rate_factor[li] = ckpt.link_rate_factor[li];
-            sim.parts[owner].link_gray[li] = ckpt.link_gray[li];
-            sim.parts[owner].link_gray_seq[li] = ckpt.link_gray_seq[li];
-        }
-        for si in 0..n_switches {
-            let owner = sh.pmap.part_of_switch[si] as usize;
-            sim.parts[owner].switch_occ[si] = ckpt.switch_occ[si];
-        }
-        for (l, series) in ckpt.util_series {
-            if l.index() >= n_links {
-                return bad("utilization series references an out-of-range link");
-            }
-            let owner = sh.pmap.part_of_link[l.index()] as usize;
-            sim.parts[owner].util_series[l.index()] = series;
-        }
+        let mut samplers = Vec::new();
         if let Some(s) = ckpt.buf_sampler {
             if s.samples.len() != s.switches.len() {
                 return bad("sampler sample/switch lists disagree");
@@ -2305,7 +1903,7 @@ impl<T: PacketTap> Simulator<T> {
                 let mut caps = Vec::new();
                 let mut samples = Vec::new();
                 for (i, &sw) in s.switches.iter().enumerate() {
-                    if sh.pmap.region_of_switch[sw.index()] == region {
+                    if sh.regions.region_of_switch[sw.index()] == region {
                         owned.push(sw);
                         orig.push(i as u32);
                         caps.push(sh.switch_cap[sw.index()]);
@@ -2315,8 +1913,7 @@ impl<T: PacketTap> Simulator<T> {
                 if owned.is_empty() {
                     continue;
                 }
-                let p = &mut sim.parts[sh.pmap.part_of_region[region as usize] as usize];
-                p.buf_samplers.push(PartSampler {
+                samplers.push(SamplerShard {
                     region,
                     interval: s.interval,
                     window: s.window,
@@ -2329,86 +1926,43 @@ impl<T: PacketTap> Simulator<T> {
             }
         }
 
-        // Route every calendar entry to the partition that owns its
-        // subject, then recount the housekeeping split per partition.
+        sim.coord.next_port = ckpt.next_port;
+        sim.coord.buffer_stats = ckpt.buffer_stats;
+        sim.coord.fast.restore(ckpt.fast);
+        sim.shared.watched = ckpt.watched;
+        sim.shared.util_tracked = ckpt.util_tracked;
+        sim.shared.util_interval = ckpt.util_interval;
+        sim.shared.record_latencies = ckpt.record_latencies;
+
+        let p = &mut sim.plant;
+        p.now = ckpt.now;
+        p.wend = ckpt.now;
+        p.last_at = ckpt.now;
+        p.next_seqs = ckpt.next_seqs;
+        p.ext_seq = ckpt.ext_seq;
+        p.clients = ckpt.conns_client;
+        p.servers = ckpt.conns_server;
+        p.free_conns = ckpt.free_conns;
+        p.latencies = ckpt.latencies;
+        p.link_free_at = ckpt.link_free_at;
+        p.link_backlog = ckpt.link_backlog;
+        p.link_counters = ckpt.link_counters;
+        p.link_rate_factor = ckpt.link_rate_factor;
+        p.link_gray = ckpt.link_gray;
+        p.link_gray_seq = ckpt.link_gray_seq;
+        p.health = ckpt.health;
+        p.switch_occ = ckpt.switch_occ;
+        for (l, series) in ckpt.util_series {
+            p.util_series[l.index()] = series;
+        }
+        p.samplers = samplers;
         for ev in ckpt.events {
-            let target = match &ev.ev {
-                Ev::Transmit { pkt, hop } => {
-                    let hops = pkt.route.as_slice();
-                    let Some(&link) = hops.get(*hop as usize) else {
-                        return bad("transmit event beyond its route");
-                    };
-                    sh.pmap.part_of_link[link.index()] as usize
-                }
-                Ev::Deliver { pkt } => sh.pmap.part_of_host[pkt.p.wire_dst().index()] as usize,
-                Ev::Release { link, .. } => {
-                    if *link as usize >= n_links {
-                        return bad("release event for an out-of-range link");
-                    }
-                    sh.pmap.part_of_link[*link as usize] as usize
-                }
-                Ev::Rto { conn, dir } => {
-                    let Some(slot) = sim.coord.slots.get(conn.index()) else {
-                        return bad("timer event for an unknown slot");
-                    };
-                    if *dir == Dir::ClientToServer {
-                        slot.cpart as usize
-                    } else {
-                        slot.spart as usize
-                    }
-                }
-                Ev::Service { conn, .. } => {
-                    let Some(slot) = sim.coord.slots.get(conn.index()) else {
-                        return bad("service event for an unknown slot");
-                    };
-                    slot.spart as usize
-                }
-                Ev::OpenConn { conn }
-                | Ev::SynRetry { conn }
-                | Ev::SendMsg { conn, .. }
-                | Ev::Close { conn }
-                | Ev::Retire { conn } => {
-                    let Some(slot) = sim.coord.slots.get(conn.index()) else {
-                        return bad("connection event for an unknown slot");
-                    };
-                    slot.cpart as usize
-                }
-                Ev::PeerGone { conn, client } => {
-                    let Some(slot) = sim.coord.slots.get(conn.index()) else {
-                        return bad("peer-gone event for an unknown slot");
-                    };
-                    if *client {
-                        slot.cpart as usize
-                    } else {
-                        slot.spart as usize
-                    }
-                }
-                Ev::Fault { .. } => {
-                    // The canonical calendar holds one copy; the live
-                    // engine replicates faults into every partition so
-                    // each health replica stays in lockstep.
-                    for p in &mut sim.parts {
-                        p.real_events += 1;
-                        p.events.push(ev.clone());
-                    }
-                    continue;
-                }
-                Ev::BufSample { region } => {
-                    if *region as usize >= n_regions {
-                        return bad("buffer sample for an unknown region");
-                    }
-                    sh.pmap.part_of_region[*region as usize] as usize
-                }
-            };
-            let p = &mut sim.parts[target];
             if !matches!(ev.ev, Ev::BufSample { .. }) {
                 p.real_events += 1;
             }
             p.events.push(ev);
         }
-
-        // Flat totals land on partition 0; reports only ever read sums.
-        sim.parts[0].counters = part::Counters {
+        p.counters = part::Counters {
             emitted_packets: ckpt.emitted_packets,
             delivered_packets: ckpt.delivered_packets,
             completed_requests: ckpt.completed_requests,
@@ -2421,10 +1975,7 @@ impl<T: PacketTap> Simulator<T> {
             aborted_connections: ckpt.aborted_connections,
             gray_dropped_packets: ckpt.gray_dropped_packets,
         };
-        sim.parts[0].processed_events = ckpt.processed_events;
-        for p in &mut sim.parts {
-            p.last_at = ckpt.now;
-        }
+        p.processed_events = ckpt.processed_events;
         Ok(sim)
     }
 }
@@ -2580,46 +2131,29 @@ impl fmt::Display for AuditReport {
 impl std::error::Error for AuditReport {}
 
 /// Audit body shared by [`Simulator::audit`] and the per-barrier hook
-/// (which only has the partition slice, not the whole simulator).
-fn audit_parts(shared: &SharedCtx, parts: &[Partition], now: SimTime) -> Result<(), AuditReport> {
+/// (which borrows the plant, not the whole simulator).
+fn audit_plant(shared: &SharedCtx, plant: &Plant) -> Result<(), AuditReport> {
     let mut violations = Vec::new();
 
     let mut in_flight = 0u64;
-    for p in parts {
-        for s in p.events.iter() {
-            if matches!(s.ev, Ev::Transmit { .. } | Ev::Deliver { .. }) {
-                in_flight += 1;
-            }
-            if s.at < p.now {
-                violations.push(AuditViolation::CalendarInPast {
-                    event_at: s.at,
-                    now: p.now,
-                });
-            }
+    for s in plant.events.iter() {
+        if matches!(s.ev, Ev::Transmit { .. } | Ev::Deliver { .. }) {
+            in_flight += 1;
         }
-        for outbox in &p.outbox {
-            for s in outbox {
-                if matches!(s.ev, Ev::Transmit { .. } | Ev::Deliver { .. }) {
-                    in_flight += 1;
-                }
-            }
+        if s.at < plant.now {
+            violations.push(AuditViolation::CalendarInPast {
+                event_at: s.at,
+                now: plant.now,
+            });
         }
     }
-    let sum_links = |f: fn(&LinkCounters) -> u64| -> u64 {
-        shared
-            .pmap
-            .part_of_link
-            .iter()
-            .enumerate()
-            .map(|(li, &owner)| f(&parts[owner as usize].link_counters[li]))
-            .sum()
-    };
-    let dropped = sum_links(|c| c.drop_packets);
-    let fault_dropped = sum_links(|c| c.fault_drop_packets);
-    let sum = |f: fn(&part::Counters) -> u64| -> u64 { parts.iter().map(|p| f(&p.counters)).sum() };
-    let emitted = sum(|c| c.emitted_packets);
-    let delivered = sum(|c| c.delivered_packets);
-    let stale = sum(|c| c.stale_packets);
+    let links = &plant.link_counters;
+    let dropped = links.iter().map(|c| c.drop_packets).sum();
+    let fault_dropped = links.iter().map(|c| c.fault_drop_packets).sum();
+    let c = &plant.counters;
+    let emitted = c.emitted_packets;
+    let delivered = c.delivered_packets;
+    let stale = c.stale_packets;
     let accounted = delivered + dropped + fault_dropped + stale + in_flight;
     if emitted != accounted {
         violations.push(AuditViolation::PacketConservation {
@@ -2632,9 +2166,7 @@ fn audit_parts(shared: &SharedCtx, parts: &[Partition], now: SimTime) -> Result<
         });
     }
 
-    for (li, &owner) in shared.pmap.part_of_link.iter().enumerate() {
-        let p = &parts[owner as usize];
-        let c = &p.link_counters[li];
+    for (li, c) in links.iter().enumerate() {
         if c.tx_bytes == 0 {
             continue;
         }
@@ -2644,7 +2176,7 @@ fn audit_parts(shared: &SharedCtx, parts: &[Partition], now: SimTime) -> Result<
         // packet. Degraded rates only lower throughput (factor <= 1),
         // so the nominal rate stays a sound bound.
         let bytes_per_ns = shared.link_gbps[li] * 0.125;
-        let busy_ns = p.link_free_at[li].as_nanos();
+        let busy_ns = plant.link_free_at[li].as_nanos();
         let bound = bytes_per_ns * (busy_ns + c.tx_packets + 1) as f64;
         if c.tx_bytes as f64 > bound {
             violations.push(AuditViolation::LinkOverDelivery {
@@ -2659,7 +2191,7 @@ fn audit_parts(shared: &SharedCtx, parts: &[Partition], now: SimTime) -> Result<
         Ok(())
     } else {
         Err(AuditReport {
-            at: now,
+            at: plant.now,
             violations,
         })
     }
@@ -2673,8 +2205,7 @@ impl<T: PacketTap> Simulator<T> {
     ///    in-flight (calendar Transmit/Deliver entries);
     /// 2. per-link transmitted bytes <= line rate x busy time (plus one
     ///    nanosecond of serialization-rounding slack per packet);
-    /// 3. every partition's event calendar is monotonic (no entry before
-    ///    its clock).
+    /// 3. the event calendar is monotonic (no entry before the clock).
     ///
     /// O(events + links); intended to run at checkpoint boundaries, not in
     /// the hot loop.
@@ -2683,7 +2214,7 @@ impl<T: PacketTap> Simulator<T> {
     /// bytes offered to flow-mode messages = completed + aborted +
     /// in-flight on the fast calendar.
     pub fn audit(&self) -> Result<(), AuditReport> {
-        let mut result = audit_parts(&self.shared, &self.parts, self.coord.now);
+        let mut result = audit_plant(&self.shared, &self.plant);
         let fc = &self.coord.fast.counters;
         let in_flight = self.coord.fast.bytes_in_flight();
         if fc.bytes_offered != fc.bytes_completed + fc.bytes_aborted + in_flight {
@@ -2696,7 +2227,7 @@ impl<T: PacketTap> Simulator<T> {
             match &mut result {
                 Ok(()) => {
                     result = Err(AuditReport {
-                        at: self.coord.now,
+                        at: self.plant.now,
                         violations: vec![v],
                     });
                 }

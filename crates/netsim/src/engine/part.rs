@@ -1,36 +1,31 @@
-//! Partition-local state and event handling for the conservative
-//! parallel engine.
+//! The plant: every piece of mutable packet-level state, its event
+//! calendar, and the event handlers.
 //!
 //! The plant decomposes into topology-fixed **regions**: one per
 //! cluster, one per datacenter's FC/DR hub tier, and one for the
-//! backbone switch. Regions group into one runtime **partition** per
-//! datacenter: a DC's clusters and hub tier fold together, and the
-//! backbone rides with partition 0. Every piece of mutable simulation
-//! state has exactly one owning partition:
+//! backbone switch ([`RegionMap`]). Regions own nothing at run time —
+//! one [`Plant`] holds all link, switch and connection state in dense
+//! tables and drains one calendar — but they key every event:
 //!
-//! * link and switch state — owned by the partition of the link's
-//!   *transmitting* node;
+//! * a link's queue, counters and utilization bins belong to the region
+//!   of the link's *transmitting* node;
 //! * a connection's client endpoint (send state of the forward direction,
-//!   receive state of the reverse, message metadata, handshake state) —
-//!   owned by the client host's partition;
-//! * the server endpoint — owned by the server host's partition.
+//!   receive state of the reverse, message metadata, handshake state)
+//!   belongs to the client host's region, the server endpoint to the
+//!   server host's.
 //!
 //! The two endpoints of a connection never share memory: everything the
 //! peer needs travels inside the packet ([`WirePacket`] carries the
 //! route it was emitted on, plus request metadata / issue timestamps on
-//! message-boundary segments). The only events that cross a partition
-//! boundary are `Transmit` hops onto a link owned elsewhere — a DR ↔
-//! backbone hop — whose propagation delay is the engine's global
-//! conservative lookahead ([`PartitionMap::lookahead`]).
+//! message-boundary segments).
 //!
 //! Determinism: every event carries the key `(at, src, seq)` where `src`
-//! is the **region** of the event's subject — not the partition — or
-//! [`EXT_SRC`] for the coordinator, and `seq` a per-region counter
-//! advanced only by the region's owning partition. Each partition drains
-//! its calendar strictly in key order, and the coordinator merges every
-//! cross-partition product (boundary events, tap calls, latency samples,
-//! buffer windows) in key order at each barrier — so nothing observable
-//! depends on the order in which the partitions drain a window.
+//! is the **region** of the event's subject, or [`EXT_SRC`] for events
+//! the API and the fast path schedule, and `seq` a per-source counter.
+//! The calendar drains strictly in key order, so each per-window product
+//! (tap calls, latency samples, retired slots) comes out in key order,
+//! and the keys — and so the checkpoint bytes — are fixed by the
+//! topology alone.
 
 use crate::config::SimConfig;
 use crate::conn::{Conn, ConnPhase, DirState, MsgMeta};
@@ -43,19 +38,20 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use super::{BufferWindowStat, LinkCounters, WINDOW_CAP};
+use super::{BufferWindowStat, LinkCounters, ABORT_NOTIFY_DELAY};
 
-/// Source tag for events scheduled by the coordinator (API calls, fault
-/// replicas, barrier-injected peer notifications). Sorts after every
-/// partition-sourced event at the same instant.
+/// Source tag for events scheduled from outside a region's handler (API
+/// calls, faults, fast-path hand-offs, cross-region peer
+/// notifications). Sorts after every region-sourced event at the same
+/// instant.
 pub(crate) const EXT_SRC: u32 = u32::MAX;
 
 /// Longest route the topology can produce (inter-datacenter: host, RSW,
 /// CSW, DR, backbone, DR, CSW, RSW, host = 8 hops).
 pub(crate) const MAX_HOPS: usize = 8;
 
-/// A packet's pinned path, copied into the packet at emission time so any
-/// partition can forward it without touching the owning connection.
+/// A packet's pinned path, copied into the packet at emission time so
+/// every hop forwards it without touching the owning connection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub(crate) struct Route {
     len: u8,
@@ -139,15 +135,13 @@ pub(crate) enum Ev {
     Close { conn: ConnId },
     /// Release a closed connection's slot for reuse after quarantine.
     Retire { conn: ConnId },
-    /// Barrier-injected notification that the peer endpoint aborted;
-    /// `client` selects which endpoint this event is addressed to.
+    /// Notification that the peer endpoint aborted; `client` selects
+    /// which endpoint this event is addressed to.
     PeerGone { conn: ConnId, client: bool },
-    /// An injected fault takes effect. One calendar entry per partition
-    /// replica, all sharing a single `(at, EXT_SRC, seq)` key so the
-    /// canonical (checkpoint) calendar is partition-count-independent.
+    /// An injected fault takes effect.
     Fault { kind: FaultKind },
     /// Periodic buffer occupancy sample for the sampler shard of
-    /// `region` (processed by the region's owning partition).
+    /// `region`.
     BufSample { region: u32 },
 }
 
@@ -157,8 +151,8 @@ pub(crate) type EvKey = (SimTime, u32, u64);
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub(crate) struct Scheduled {
     pub at: SimTime,
-    /// Region that scheduled the event ([`EXT_SRC`] for the
-    /// coordinator).
+    /// Region that scheduled the event ([`EXT_SRC`] from outside a
+    /// region's handler).
     pub src: u32,
     /// Per-source sequence number (schedule order within `src`).
     pub seq: u64,
@@ -348,21 +342,13 @@ impl CalendarEvent for Scheduled {
     }
 }
 
-/// Static decomposition of the plant: topology-fixed regions (clusters,
-/// per-DC hub tiers, backbone) grouped into one runtime partition per
-/// datacenter.
+/// Static decomposition of the plant into topology-fixed regions
+/// (clusters, per-DC hub tiers, backbone): the `src` of every event key.
 #[derive(Debug, Clone)]
-pub(crate) struct PartitionMap {
-    pub n_parts: u32,
-    /// Region count — clusters + datacenters + 1 (backbone). Fixed by
-    /// the topology; event sources and checkpoint sequence counters are
-    /// region-indexed.
+pub(crate) struct RegionMap {
+    /// Region count — clusters + datacenters + 1 (backbone). Event
+    /// sources and checkpoint sequence counters are region-indexed.
     pub n_regions: u32,
-    pub part_of_host: Vec<u32>,
-    pub part_of_switch: Vec<u32>,
-    /// Partition of the link's *transmitting* node — the owner of the
-    /// link's queue, counters and utilization bins.
-    pub part_of_link: Vec<u32>,
     /// Region of each host (= its cluster).
     pub region_of_host: Vec<u32>,
     /// Region of each switch: its cluster; else its datacenter's hub
@@ -370,23 +356,15 @@ pub(crate) struct PartitionMap {
     pub region_of_switch: Vec<u32>,
     /// Region of each link's transmitting node.
     pub region_of_link: Vec<u32>,
-    /// Owning partition of each region.
-    pub part_of_region: Vec<u32>,
-    /// Global conservative lookahead: the smallest propagation delay over
-    /// links whose endpoints sit in different partitions, capped at
-    /// [`WINDOW_CAP`]. No event handled at `t` can schedule into another
-    /// partition before `t + lookahead`.
-    pub lookahead: SimDuration,
 }
 
-impl PartitionMap {
-    /// Folds each cluster and hub region into its datacenter's partition
-    /// and the backbone into partition 0.
-    pub(crate) fn new(topo: &Topology) -> PartitionMap {
+impl RegionMap {
+    /// Clusters first, then one hub region per datacenter, then the
+    /// backbone.
+    pub(crate) fn new(topo: &Topology) -> RegionMap {
         let n_clusters = topo.clusters().len() as u32;
         let n_dcs = topo.datacenters().len() as u32;
         let backbone_region = n_clusters + n_dcs;
-        let n_regions = backbone_region + 1;
 
         let region_of_host: Vec<u32> = topo
             .hosts()
@@ -402,64 +380,30 @@ impl PartitionMap {
                 (None, None) => backbone_region,
             })
             .collect();
-        let region_of_node = |n: Node| match n {
-            Node::Host(h) => region_of_host[h.index()],
-            Node::Switch(s) => region_of_switch[s.index()],
-        };
         let region_of_link: Vec<u32> = topo
             .links()
             .iter()
-            .map(|l| region_of_node(l.from))
+            .map(|l| match l.from {
+                Node::Host(h) => region_of_host[h.index()],
+                Node::Switch(s) => region_of_switch[s.index()],
+            })
             .collect();
-
-        let part_of_region: Vec<u32> = topo
-            .clusters()
-            .iter()
-            .map(|c| c.datacenter.index() as u32)
-            .chain(0..n_dcs)
-            .chain([0])
-            .collect();
-        let part_of_host: Vec<u32> = region_of_host
-            .iter()
-            .map(|&r| part_of_region[r as usize])
-            .collect();
-        let part_of_switch: Vec<u32> = region_of_switch
-            .iter()
-            .map(|&r| part_of_region[r as usize])
-            .collect();
-        let part_of_node = |n: Node| match n {
-            Node::Host(h) => part_of_host[h.index()],
-            Node::Switch(s) => part_of_switch[s.index()],
-        };
-        let part_of_link: Vec<u32> = topo.links().iter().map(|l| part_of_node(l.from)).collect();
-        let lookahead = topo
-            .links()
-            .iter()
-            .filter(|l| part_of_node(l.from) != part_of_node(l.to))
-            .map(|l| SimDuration::from_nanos(l.propagation_ns))
-            .fold(WINDOW_CAP, SimDuration::min);
-        PartitionMap {
-            n_parts: n_dcs.max(1),
-            n_regions,
-            part_of_host,
-            part_of_switch,
-            part_of_link,
+        RegionMap {
+            n_regions: backbone_region + 1,
             region_of_host,
             region_of_switch,
             region_of_link,
-            part_of_region,
-            lookahead,
         }
     }
 }
 
-/// Read-only context shared by every partition during a window: the
-/// topology-derived tables and the quasi-static configuration that only
-/// the coordinator mutates (and only between windows).
+/// Read-only context of a window's drain: the topology-derived tables
+/// and the quasi-static configuration that only the API mutates (and
+/// only between run calls).
 pub(crate) struct SharedCtx {
     pub topo: Arc<Topology>,
     pub cfg: SimConfig,
-    pub pmap: PartitionMap,
+    pub regions: RegionMap,
     pub link_gbps: Vec<f64>,
     pub link_prop: Vec<u64>,
     pub link_from_switch: Vec<Option<u32>>,
@@ -471,7 +415,7 @@ pub(crate) struct SharedCtx {
     pub record_latencies: bool,
 }
 
-/// Partition-local totals, summed by the coordinator for reporting.
+/// Packet-level totals of the plant.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct Counters {
     pub emitted_packets: u64,
@@ -487,13 +431,12 @@ pub(crate) struct Counters {
     pub gray_dropped_packets: u64,
 }
 
-/// Per-region buffer occupancy sampler shard over the switches of one
-/// region (held by the region's owning partition).
+/// Buffer occupancy sampler shard over the switches of one region.
 /// `orig[i]` is the switch's index in the full list the caller
 /// registered, which keys the canonical merge order of the produced
 /// windows.
 #[derive(Debug, Clone, Default)]
-pub(crate) struct PartSampler {
+pub(crate) struct SamplerShard {
     /// Region whose switches this shard samples (keys the shard's
     /// `BufSample` event chain).
     pub region: u32,
@@ -507,40 +450,37 @@ pub(crate) struct PartSampler {
     pub samples: Vec<Vec<u64>>,
 }
 
-/// A buffered tap call: the key of the event that produced it, plus the
-/// exact arguments the serial engine would have passed.
+/// A buffered tap call: the arguments the tap receives at the barrier.
 #[derive(Debug, Clone)]
 pub(crate) struct TapCall {
-    pub key: EvKey,
     pub at: SimTime,
     pub link: LinkId,
     pub pkt: Packet,
 }
 
-/// One partition: a sequential discrete-event simulator over its owned
-/// slice of the plant.
-pub(crate) struct Partition {
-    pub idx: u32,
+/// The packet-level plant: one sequential discrete-event simulator over
+/// every link, switch and connection endpoint.
+pub(crate) struct Plant {
     pub now: SimTime,
-    /// Exclusive end of the current window (set by the coordinator).
+    /// Exclusive end of the current window (set by the window loop).
     pub wend: SimTime,
-    /// Key of the event currently being handled (tags buffered outputs).
-    cur_key: EvKey,
     /// Region of the event currently being handled — the `src` every
     /// event scheduled by the handler is keyed with.
     cur_region: u32,
     pub events: Calendar<Scheduled>,
-    /// Per-region sequence counters (full region-count size; only the
-    /// regions this partition owns ever advance). Region-scoped so event
-    /// keys — and checkpoints — are fixed by the topology alone.
+    /// Per-region sequence counters. Region-scoped so event keys — and
+    /// checkpoints — are fixed by the topology alone.
     pub next_seqs: Vec<u64>,
-    /// Client endpoints, dense by connection slot (None = this partition
-    /// does not own the slot's client side).
+    /// Sequence counter for [`EXT_SRC`] events.
+    pub ext_seq: u64,
+    /// Client endpoints, dense by connection slot. Every allocated slot
+    /// has one — it outlives retirement and carries the slot's current
+    /// generation.
     pub clients: Vec<Option<Conn>>,
     /// Server endpoints, dense by connection slot.
     pub servers: Vec<Option<Conn>>,
-    // Link/switch state: full-size dense vectors; only owned indices are
-    // ever touched, so non-owned entries stay at their defaults.
+    /// Retired connection slots, reused last-in first-out.
+    pub free_conns: Vec<u32>,
     pub link_free_at: Vec<SimTime>,
     pub link_backlog: Vec<u64>,
     pub link_counters: Vec<LinkCounters>,
@@ -549,61 +489,46 @@ pub(crate) struct Partition {
     /// health mask this is invisible to routing — that is the point.
     pub link_gray: Vec<f64>,
     /// Per-link count of packets offered to a gray link so far: the
-    /// deterministic sequence number feeding the drop decision. Only the
-    /// link's owner advances it, so it is independent of drain order.
+    /// deterministic sequence number feeding the drop decision.
     pub link_gray_seq: Vec<u64>,
-    /// Replica of the fault-health state. Every partition processes the
-    /// same fault schedule in the same key order, so replicas agree at
-    /// every barrier.
+    /// Link/switch health under the faults applied so far.
     pub health: LinkHealth,
     pub switch_occ: Vec<u64>,
     pub util_series: Vec<Vec<u64>>,
-    /// Sampler shards for the regions this partition owns, ordered by
+    /// Sampler shards, one per region with sampled switches, ordered by
     /// region.
-    pub buf_samplers: Vec<PartSampler>,
-    // Per-window products, drained by the coordinator at each barrier.
-    /// Cross-partition events, indexed by target partition.
-    pub outbox: Vec<Vec<Scheduled>>,
+    pub samplers: Vec<SamplerShard>,
+    /// End-to-end RPC latency samples, in completion order.
+    pub latencies: Vec<SimDuration>,
+    // Per-window products, drained at each barrier.
     pub tap_buf: Vec<TapCall>,
-    pub lat_buf: Vec<(EvKey, SimDuration)>,
     /// Completed buffer windows: (window start, original switch index,
     /// stat).
     pub window_stats: Vec<(SimTime, u32, BufferWindowStat)>,
-    /// Endpoints that aborted this window: (event key, conn, true when
-    /// the *client* endpoint aborted).
-    pub aborted_buf: Vec<(EvKey, ConnId, bool)>,
-    /// Connection slots retired this window, with the retiring event's
-    /// key — the granularity-independent order `free_conns` grows in.
-    pub retired_buf: Vec<(EvKey, u32)>,
     pub counters: Counters,
-    /// Non-housekeeping events in this partition's calendar + outboxes.
+    /// Non-housekeeping events in the calendar.
     pub real_events: u64,
     pub processed_events: u64,
-    /// Events handled in the current window (for load accounting — fault
-    /// replicas and everything else count here).
+    /// Events handled in the current window.
     pub window_events: u64,
-    /// The `processed_events` contribution of the current window: like
-    /// `window_events` but counting fault replicas only once (on
-    /// partition 0), so the total is partition-count-independent.
-    pub window_counted: u64,
     /// Timestamp of the last handled event (quiescence clock).
     pub last_at: SimTime,
 }
 
-impl Partition {
-    pub(crate) fn new(idx: u32, sh: &SharedCtx) -> Partition {
+impl Plant {
+    pub(crate) fn new(sh: &SharedCtx) -> Plant {
         let n_links = sh.topo.links().len();
         let n_switches = sh.topo.switches().len();
-        Partition {
-            idx,
+        Plant {
             now: SimTime::ZERO,
             wend: SimTime::ZERO,
-            cur_key: (SimTime::ZERO, 0, 0),
             cur_region: 0,
             events: Calendar::default(),
-            next_seqs: vec![0; sh.pmap.n_regions as usize],
+            next_seqs: vec![0; sh.regions.n_regions as usize],
+            ext_seq: 0,
             clients: Vec::new(),
             servers: Vec::new(),
+            free_conns: Vec::new(),
             link_free_at: vec![SimTime::ZERO; n_links],
             link_backlog: vec![0; n_links],
             link_counters: vec![LinkCounters::default(); n_links],
@@ -613,28 +538,34 @@ impl Partition {
             health: LinkHealth::new(&sh.topo),
             switch_occ: vec![0; n_switches],
             util_series: vec![Vec::new(); n_links],
-            buf_samplers: Vec::new(),
-            outbox: vec![Vec::new(); sh.pmap.n_parts as usize],
+            samplers: Vec::new(),
+            latencies: Vec::new(),
             tap_buf: Vec::new(),
-            lat_buf: Vec::new(),
             window_stats: Vec::new(),
-            aborted_buf: Vec::new(),
-            retired_buf: Vec::new(),
             counters: Counters::default(),
             real_events: 0,
             processed_events: 0,
             window_events: 0,
-            window_counted: 0,
             last_at: SimTime::ZERO,
         }
     }
 
-    /// Pushes a coordinator-scheduled event (no ownership routing; the
-    /// coordinator already picked this partition).
-    pub(crate) fn push_ext(&mut self, at: SimTime, seq: u64, ev: Ev) {
+    /// True when `conn` still names the slot's current incarnation.
+    pub(crate) fn slot_live(&self, conn: ConnId) -> bool {
+        self.clients
+            .get(conn.index())
+            .and_then(Option::as_ref)
+            .is_some_and(|c| c.id.gen == conn.gen)
+    }
+
+    /// Schedules an event from outside a region's handler, under the
+    /// next [`EXT_SRC`] sequence number.
+    pub(crate) fn push_ext(&mut self, at: SimTime, ev: Ev) {
         if !matches!(ev, Ev::BufSample { .. }) {
             self.real_events += 1;
         }
+        let seq = self.ext_seq;
+        self.ext_seq += 1;
         self.events.push(Scheduled {
             at,
             src: EXT_SRC,
@@ -643,12 +574,11 @@ impl Partition {
         });
     }
 
-    /// Coordinator-side scheduling under a *region* key: consumes the
-    /// region's sequence counter, exactly as a handler running in that
-    /// region would (used to seed per-region event chains like the
+    /// Schedules under a *region* key from outside a handler: consumes
+    /// the region's sequence counter, exactly as a handler running in
+    /// that region would (used to seed per-region event chains like the
     /// buffer sampler's).
-    pub(crate) fn push_region(&mut self, sh: &SharedCtx, region: u32, at: SimTime, ev: Ev) {
-        debug_assert_eq!(sh.pmap.part_of_region[region as usize], self.idx);
+    pub(crate) fn push_region(&mut self, region: u32, at: SimTime, ev: Ev) {
         if !matches!(ev, Ev::BufSample { .. }) {
             self.real_events += 1;
         }
@@ -662,8 +592,8 @@ impl Partition {
         });
     }
 
-    /// Schedules a partition-local event, keyed by the region of the
-    /// event currently being handled.
+    /// Schedules an event keyed by the region of the event currently
+    /// being handled.
     fn schedule(&mut self, at: SimTime, ev: Ev) {
         debug_assert!(at >= self.now, "scheduling into the past");
         if !matches!(ev, Ev::BufSample { .. }) {
@@ -675,25 +605,11 @@ impl Partition {
         self.events.push(Scheduled { at, src, seq, ev });
     }
 
-    /// Schedules an event into another partition's next window. The
-    /// conservative protocol guarantees `at >= wend` for every such
-    /// event, so the target merges it before opening the window that
-    /// could process it.
-    fn schedule_cross(&mut self, target: u32, at: SimTime, ev: Ev) {
-        debug_assert!(at >= self.now);
-        // real_events is credited to the *target* when the coordinator
-        // merges the outbox at the barrier.
-        let src = self.cur_region;
-        let seq = self.next_seqs[src as usize];
-        self.next_seqs[src as usize] += 1;
-        self.outbox[target as usize].push(Scheduled { at, src, seq, ev });
-    }
-
     /// Region of the event's subject: the host/link it touches, or the
     /// endpoint host it addresses — the `src` its handler schedules
-    /// under. Fixed by the topology, never by the grouping.
+    /// under. Fixed by the topology alone.
     fn region_of_event(&self, sh: &SharedCtx, ev: &Ev) -> u32 {
-        let pm = &sh.pmap;
+        let pm = &sh.regions;
         match ev {
             Ev::Transmit { pkt, hop } => {
                 pm.region_of_link[pkt.route.as_slice()[*hop as usize].index()]
@@ -723,7 +639,7 @@ impl Partition {
         match table.get(conn.index()).and_then(Option::as_ref) {
             Some(c) => {
                 let host = if client { c.key.client } else { c.key.server };
-                sh.pmap.region_of_host[host.index()]
+                sh.regions.region_of_host[host.index()]
             }
             None => 0,
         }
@@ -735,18 +651,11 @@ impl Partition {
             let sched = self.events.pop().expect("peeked");
             self.now = sched.at;
             self.last_at = sched.at;
-            self.cur_key = sched.key();
             self.cur_region = self.region_of_event(sh, &sched.ev);
             if !matches!(sched.ev, Ev::BufSample { .. }) {
                 self.real_events -= 1;
             }
-            // Fault replicas are processed once per partition but exist
-            // once in the canonical calendar: count them only on
-            // partition 0 so `processed_events` is grouping-independent.
-            if !matches!(sched.ev, Ev::Fault { .. }) || self.idx == 0 {
-                self.processed_events += 1;
-                self.window_counted += 1;
-            }
+            self.processed_events += 1;
             self.window_events += 1;
             self.handle(sh, sched.ev);
         }
@@ -798,7 +707,7 @@ impl Partition {
             }
             Ev::Retire { conn } => {
                 if self.half_live(true, conn) {
-                    self.retired_buf.push((self.cur_key, conn.idx));
+                    self.free_conns.push(conn.idx);
                 }
             }
             Ev::PeerGone { conn, client } => self.on_peer_gone(sh, conn, client),
@@ -807,8 +716,7 @@ impl Partition {
         }
     }
 
-    /// True if this partition holds the given endpoint of `conn`'s
-    /// current incarnation.
+    /// True if the given endpoint of `conn`'s incarnation is present.
     fn half_live(&self, client: bool, conn: ConnId) -> bool {
         let table = if client { &self.clients } else { &self.servers };
         table
@@ -826,7 +734,6 @@ impl Partition {
         let link = route.as_slice()[hop as usize];
         let last_hop = hop as usize + 1 == route.len();
         let li = link.index();
-        debug_assert_eq!(sh.pmap.part_of_link[li], self.idx, "foreign link transmit");
         let w = pkt.p.wire_bytes;
 
         // A dead link (or dead switch endpoint) eats the packet; the
@@ -888,7 +795,6 @@ impl Partition {
 
         if sh.watched[li] {
             self.tap_buf.push(TapCall {
-                key: self.cur_key,
                 at: end,
                 link,
                 pkt: pkt.p,
@@ -910,19 +816,7 @@ impl Partition {
         } else {
             Ev::Transmit { pkt, hop: hop + 1 }
         };
-        // The only event that can cross a partition boundary: the next
-        // hop of an inter-datacenter route. Its delay from now is at
-        // least this link's propagation, which is at least the lookahead.
-        let target = if last_hop {
-            sh.pmap.part_of_host[pkt.p.wire_dst().index()]
-        } else {
-            sh.pmap.part_of_link[route.as_slice()[hop as usize + 1].index()]
-        };
-        if target == self.idx {
-            self.schedule(arrive, next);
-        } else {
-            self.schedule_cross(target, arrive, next);
-        }
+        self.schedule(arrive, next);
     }
 
     fn on_deliver(&mut self, sh: &SharedCtx, pkt: WirePacket) {
@@ -984,8 +878,8 @@ impl Partition {
     /// Handles a delivered SYN: creates (or refreshes nothing on) the
     /// server endpoint and accepts immediately with a SYN-ACK, as the
     /// serial engine did. The reverse route is hashed against the health
-    /// state at SYN arrival — the first moment the server partition
-    /// knows the connection exists.
+    /// state at SYN arrival — the first moment the server endpoint
+    /// exists.
     fn accept_syn(&mut self, sh: &SharedCtx, pkt: &WirePacket) {
         let p = pkt.p;
         let ci = p.conn.index();
@@ -1068,15 +962,14 @@ impl Partition {
                 );
             } else if sh.record_latencies {
                 // One-way message: complete when the request lands.
-                self.lat_buf
-                    .push((self.cur_key, self.now.saturating_since(meta.issued_at)));
+                self.latencies
+                    .push(self.now.saturating_since(meta.issued_at));
             }
         }
         if fresh_boundary && !to_server && sh.record_latencies {
             // The response fully arrived back at the client: RPC done.
             if let Some(issued) = pkt.issued {
-                self.lat_buf
-                    .push((self.cur_key, self.now.saturating_since(issued)));
+                self.latencies.push(self.now.saturating_since(issued));
             }
         }
     }
@@ -1210,12 +1103,12 @@ impl Partition {
 
     /// Closes one endpoint abruptly (no FIN): queues are dropped, pending
     /// timers find nothing in flight. A peer in the *same region* learns
-    /// of the abort at the abort instant — the serial engine's atomic
-    /// whole-connection teardown (a same-region peer always shares this
-    /// partition). A peer in another region is notified
-    /// through the coordinator [`super::ABORT_NOTIFY_DELAY`] later (a
-    /// RST surfacing after the fabric round-trip). The slot (client side
-    /// only) retires after quarantine.
+    /// of the abort at the abort instant — an atomic whole-connection
+    /// teardown. A peer in another region is notified
+    /// [`ABORT_NOTIFY_DELAY`] later (a RST surfacing after the
+    /// fabric round-trip), unless its slot has since moved to a newer
+    /// incarnation. The slot (client side only) retires after
+    /// quarantine.
     fn abort_half(&mut self, sh: &SharedCtx, conn: ConnId, client: bool) {
         let ci = conn.index();
         let (was_closed, peer_host) = {
@@ -1234,16 +1127,18 @@ impl Partition {
             let at = self.now + sh.cfg.conn_quarantine;
             self.schedule(at, Ev::Retire { conn });
         }
-        if sh.pmap.region_of_host[peer_host.index()] == self.cur_region {
-            self.schedule(
-                self.now,
-                Ev::PeerGone {
-                    conn,
-                    client: !client,
-                },
-            );
-        } else {
-            self.aborted_buf.push((self.cur_key, conn, client));
+        let peer_gone = Ev::PeerGone {
+            conn,
+            client: !client,
+        };
+        if sh.regions.region_of_host[peer_host.index()] == self.cur_region {
+            self.schedule(self.now, peer_gone);
+        } else if self.slot_live(conn) {
+            // Never inside the window being drained: it ends at most one
+            // window cap past its head, and the delay is at least that.
+            let at = self.now + ABORT_NOTIFY_DELAY;
+            debug_assert!(at >= self.wend, "abort notification inside its window");
+            self.push_ext(at, peer_gone);
         }
     }
 
@@ -1368,12 +1263,7 @@ impl Partition {
     }
 
     fn on_fault(&mut self, kind: FaultKind) {
-        // Every partition applies the fault to its replica; only
-        // partition 0 counts it, so the reported total matches the
-        // number of injected events.
-        if self.idx == 0 {
-            self.counters.faults_applied += 1;
-        }
+        self.counters.faults_applied += 1;
         match kind {
             FaultKind::LinkDown(l) => self.health.set_link_up(l, false),
             FaultKind::LinkUp(l) => self.health.set_link_up(l, true),
@@ -1551,11 +1441,6 @@ impl Partition {
             issued,
         };
         self.counters.emitted_packets += 1;
-        debug_assert_eq!(
-            sh.pmap.part_of_link[route.as_slice()[0].index()],
-            self.idx,
-            "first hop of an emitted packet is always local"
-        );
         self.schedule(self.now, Ev::Transmit { pkt, hop: 0 });
     }
 
@@ -1564,14 +1449,14 @@ impl Partition {
     // ------------------------------------------------------------------
 
     fn on_buf_sample(&mut self, region: u32) {
-        let Some(si) = self.buf_samplers.iter().position(|s| s.region == region) else {
+        let Some(si) = self.samplers.iter().position(|s| s.region == region) else {
             return;
         };
         // Close the shard's window first if we've crossed its boundary.
-        if self.now >= self.buf_samplers[si].window_start + self.buf_samplers[si].window {
+        if self.now >= self.samplers[si].window_start + self.samplers[si].window {
             self.flush_shard(si, false);
         }
-        let shard = &mut self.buf_samplers[si];
+        let shard = &mut self.samplers[si];
         for (i, sw) in shard.switches.iter().enumerate() {
             shard.samples[i].push(self.switch_occ[sw.index()]);
         }
@@ -1581,13 +1466,13 @@ impl Partition {
 
     /// Flushes every sampler shard's current window (end of run).
     pub(crate) fn flush_buffer_windows(&mut self) {
-        for si in 0..self.buf_samplers.len() {
+        for si in 0..self.samplers.len() {
             self.flush_shard(si, true);
         }
     }
 
     fn flush_shard(&mut self, si: usize, final_flush: bool) {
-        let mut sampler = std::mem::take(&mut self.buf_samplers[si]);
+        let mut sampler = std::mem::take(&mut self.samplers[si]);
         let window_start = sampler.window_start;
         for (i, sw) in sampler.switches.iter().enumerate() {
             let samples = &mut sampler.samples[i];
@@ -1621,7 +1506,7 @@ impl Partition {
                 sampler.window_start += sampler.window;
             }
         }
-        self.buf_samplers[si] = sampler;
+        self.samplers[si] = sampler;
     }
 }
 

@@ -1,6 +1,6 @@
 use super::*;
 use crate::config::SimConfig;
-use crate::packet::{Packet, PacketKind};
+use crate::packet::{Dir, Packet, PacketKind};
 use crate::tap::{NullTap, PacketTap};
 use sonet_topology::{ClusterSpec, TopologySpec};
 use std::sync::Arc;
@@ -485,9 +485,9 @@ fn many_ephemeral_connections_bound_the_table() {
     }
     sim.run_to_quiescence();
     assert!(
-        sim.coord.slots.len() < 1000,
+        sim.plant.clients.len() < 1000,
         "slot reuse should bound the table: {}",
-        sim.coord.slots.len()
+        sim.plant.clients.len()
     );
     let (out, _) = sim.finish();
     assert_eq!(out.completed_requests, 2000);
@@ -816,27 +816,59 @@ fn inter_datacenter_rtt_reflects_backbone_propagation() {
 }
 
 // -----------------------------------------------------------------
-// Partitioned execution
+// Regions and windows
 // -----------------------------------------------------------------
 
 #[test]
-fn one_partition_per_datacenter_with_backbone_lookahead() {
-    // A single datacenter is one partition: no link straddles two
-    // partitions, so the lookahead is the window cap.
-    let one_dc = two_cluster_topo();
-    let sim = sim_with_collector(&one_dc);
-    assert_eq!(sim.partitions(), 1);
-    assert_eq!(sim.shared.pmap.lookahead, WINDOW_CAP);
+fn regions_are_clusters_then_hubs_then_backbone() {
+    // Event keys and checkpoint sequence counters are region-indexed, so
+    // the region map is part of the checkpoint format: clusters first,
+    // then one hub region per datacenter, then the backbone last.
+    for topo in [two_cluster_topo(), two_dc_topo()] {
+        let sim = sim_with_collector(&topo);
+        let rm = &sim.shared.regions;
+        let n_clusters = topo.clusters().len() as u32;
+        let n_dcs = topo.datacenters().len() as u32;
+        assert_eq!(rm.n_regions, n_clusters + n_dcs + 1);
+        for (h, host) in topo.hosts().iter().enumerate() {
+            assert_eq!(rm.region_of_host[h], host.cluster.index() as u32);
+        }
+        for (i, sw) in topo.switches().iter().enumerate() {
+            let want = match (sw.cluster, sw.datacenter) {
+                (Some(c), _) => c.index() as u32,
+                (None, Some(d)) => n_clusters + d.index() as u32,
+                (None, None) => rm.n_regions - 1,
+            };
+            assert_eq!(rm.region_of_switch[i], want, "{:?}", sw.kind);
+        }
+        for (li, link) in topo.links().iter().enumerate() {
+            let from = match link.from {
+                Node::Host(h) => rm.region_of_host[h.index()],
+                Node::Switch(s) => rm.region_of_switch[s.index()],
+            };
+            assert_eq!(rm.region_of_link[li], from);
+        }
+    }
+}
 
-    // Two datacenters are two partitions; the backbone region (the last
-    // one) rides with partition 0, and only DR <-> backbone links
-    // straddle, so their 1 ms propagation is the lookahead.
-    let two_dc = two_dc_topo();
-    let sim = sim_with_collector(&two_dc);
-    let pm = &sim.shared.pmap;
-    assert_eq!(sim.partitions(), 2);
-    assert_eq!(pm.part_of_region[pm.n_regions as usize - 1], 0);
-    assert_eq!(pm.lookahead, SimDuration::from_millis(1));
+#[test]
+fn windows_span_the_window_cap() {
+    // A lone sampler chain ticking every 100 µs: with no fast instant
+    // inside them, windows run exactly `WINDOW_CAP` from the head they
+    // opened on, and the last one ends one nanosecond past the horizon.
+    let topo = two_dc_topo();
+    let mut sim = sim_with_collector(&topo);
+    sim.sample_buffers(
+        SimDuration::from_micros(100),
+        SimDuration::from_millis(1),
+        vec![topo.racks()[0].rsw],
+    )
+    .expect("sample");
+    let until = SimTime::from_millis(10);
+    sim.run_until(until);
+    let spans = until.as_nanos() / WINDOW_CAP.as_nanos();
+    assert_eq!(sim.parallel_stats().barriers, spans + 1);
+    assert_eq!(sim.plant.wend, until + SimDuration::from_nanos(1));
 }
 
 /// Two-DC workload with faults and telemetry, with or without the
@@ -857,9 +889,9 @@ fn cross_dc_run(audit: bool) -> (String, Vec<(SimTime, LinkId, Packet)>) {
         vec![topo.racks()[0].rsw],
     )
     .expect("sample");
-    // Take down the cache-side ToR (the *other* datacenter's partition):
-    // the watched web host keeps retransmitting across the barrier while
-    // the fault and its recovery land on the far replica.
+    // Take down the cache-side ToR (in the *other* datacenter): the
+    // watched web host keeps retransmitting across barriers while the
+    // fault and its recovery land on the far side.
     let far_rsw = topo.racks().last().expect("racks").rsw;
     sim.inject_fault(SimTime::from_millis(3), FaultKind::SwitchDown(far_rsw))
         .expect("fault");
@@ -876,7 +908,7 @@ fn cross_dc_run(audit: bool) -> (String, Vec<(SimTime, LinkId, Packet)>) {
             .expect("open");
         // The message train straddles the fault window, so some
         // exchanges complete cleanly, some retransmit through the
-        // outage, and some abort — all of it cross-partition.
+        // outage, and some abort — all of it across the backbone.
         for m in 0..8u64 {
             sim.send_message(
                 c,
@@ -897,7 +929,7 @@ fn cross_dc_run(audit: bool) -> (String, Vec<(SimTime, LinkId, Packet)>) {
 
 #[test]
 fn barrier_audit_leaves_cross_dc_outputs_unchanged() {
-    // The audit only reads partition state at each barrier, so a run
+    // The audit only reads plant state at each barrier, so a run
     // with it on must match one without it, byte for byte.
     let (out1, tap1) = cross_dc_run(false);
     let (out2, tap2) = cross_dc_run(true);
@@ -1160,14 +1192,12 @@ fn checkpoint_restores_mid_flight() {
 }
 
 #[test]
-fn checkpoint_keeps_server_halves_in_lower_partitions() {
+fn checkpoint_keeps_server_halves_of_reverse_connections() {
     // Reverse-direction connections: the client lives in the *second*
-    // partition and the server in the *first*. The checkpoint's server
-    // filter consults the client table, so client halves must be
-    // collected across all partitions before any server half is judged
-    // (regression: a single interleaved pass dropped server halves whose
-    // partition preceded their client's, and the restored run then
-    // counted their traffic as stale).
+    // datacenter and the server in the *first*. The checkpoint's server
+    // filter consults the client generation of each slot; a server half
+    // it wrongly dropped would make the restored run count its traffic
+    // as stale.
     let topo = two_dc_topo();
     let build = || {
         let mut sim =
@@ -1204,7 +1234,7 @@ fn checkpoint_keeps_server_halves_in_lower_partitions() {
     let ckpt = mid.checkpoint();
     assert!(
         ckpt.conns_server.iter().flatten().count() > 0,
-        "snapshot must carry the partition-0 server halves"
+        "snapshot must carry the first datacenter's server halves"
     );
     let mut resumed = Simulator::restore(Arc::clone(&topo), NullTap, ckpt).expect("restore");
     resumed.run_to_quiescence();
@@ -1402,6 +1432,13 @@ fn restore_rejects_corrupt_hosts_and_routes() {
             replace(Ev::BufSample { region: 999 }),
             "buffer sample for an unknown region",
         ),
+        (
+            "fault link",
+            replace(Ev::Fault {
+                kind: FaultKind::LinkDown(LinkId(999_999)),
+            }),
+            "fault event: link999999 is out of range",
+        ),
     ];
     for (what, forged, expected) in cases {
         assert_ne!(json, forged, "{what}: nothing was forged");
@@ -1498,7 +1535,7 @@ fn audit_detects_conservation_break() {
     let mut sim = busy_sim(&topo);
     sim.run_until(SimTime::from_millis(1));
     // Corrupt a counter behind the engine's back.
-    sim.parts[0].counters.delivered_packets += 1;
+    sim.plant.counters.delivered_packets += 1;
     let report = sim.audit().expect_err("corruption must be detected");
     assert!(report
         .violations
@@ -1515,13 +1552,12 @@ fn audit_detects_link_over_delivery() {
     sim.run_to_quiescence();
     // A link that claims traffic while its clock says it was never busy
     // violates the rate x elapsed bound. Keep packet conservation
-    // intact by inflating only the byte counter on the owner's replica.
+    // intact by inflating only the byte counter.
     let n_links = topo.links().len();
     let li = (0..n_links)
         .find(|&i| sim.link_counters(LinkId(i as u32)).tx_bytes > 0)
         .expect("some link carried traffic");
-    let owner = sim.shared.pmap.part_of_link[li] as usize;
-    sim.parts[owner].link_counters[li].tx_bytes += 10_000_000_000;
+    sim.plant.link_counters[li].tx_bytes += 10_000_000_000;
     let report = sim.audit().expect_err("over-delivery must be detected");
     assert!(report
         .violations
@@ -1615,8 +1651,8 @@ fn run_until_step_size_is_unobservable() {
 #[test]
 fn run_until_step_size_is_unobservable_under_aborts() {
     // Same contract with connections aborting mid-flight: peer-gone
-    // notifications are pinned to the abort instant plus lookahead, not
-    // to wherever the caller's run_until boundaries happen to fall.
+    // notifications are pinned to the abort instant plus a fixed delay,
+    // not to wherever the caller's run_until boundaries happen to fall.
     let topo = two_dc_topo();
     let build = || {
         // A tight RTO budget so the outage aborts transfers well inside
@@ -1630,8 +1666,8 @@ fn run_until_step_size_is_unobservable_under_aborts() {
         let webs = topo.hosts_with_role(sonet_topology::HostRole::Web);
         let caches = topo.hosts_with_role(sonet_topology::HostRole::CacheLeader);
         // A long outage of the ToR over the first cache leader: transfers
-        // pinned through it exhaust their RTO budget and abort across the
-        // partition boundary.
+        // pinned through it exhaust their RTO budget and abort, their
+        // peers in the other datacenter.
         let far_rsw = topo
             .racks()
             .iter()

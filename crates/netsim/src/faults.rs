@@ -56,7 +56,7 @@ pub enum FaultKind {
     /// comes back `half_period` later, and repeats for `cycles`
     /// down/up trains. The engine expands the flap into plain
     /// `LinkDown`/`LinkUp` events at injection time, so checkpoints and
-    /// replicas only ever see the primitive kinds.
+    /// the calendar only ever see the primitive kinds.
     FlapLink {
         /// The flapping link.
         link: LinkId,

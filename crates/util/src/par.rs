@@ -9,9 +9,9 @@
 //! count therefore only decides who computes an item, never what the
 //! item's value is or where it lands in the output.
 //!
-//! The discrete-event engine is not a caller: a simulator drains its
-//! partitions one after another on the caller's thread, so the
-//! parallelism lives across independent runs, never inside one.
+//! The discrete-event engine is not a caller: a simulator drains its one
+//! calendar on the caller's thread, so the parallelism lives across
+//! independent runs, never inside one.
 //!
 //! The pool is scoped (`std::thread::scope`), so borrowed state can be
 //! shared by reference without `Arc` gymnastics, and a panicking worker

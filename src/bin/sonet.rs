@@ -18,8 +18,7 @@
 //! output byte — only wall-clock. It sizes the fan-out across
 //! independent work: `all` scenarios, chaos cells, fleet shards, and
 //! trace, tagging and report stages. The event engine itself always runs
-//! on one thread: its per-datacenter partitions drain one after another
-//! (see DESIGN.md §10).
+//! on one thread: it drains one calendar (see DESIGN.md §10).
 //!
 //! Supervised runs (`capture`, `fleet`) checkpoint to `--checkpoint DIR`
 //! at regular intervals, audit engine invariants at every checkpoint

@@ -5,9 +5,10 @@
 //! `--fidelity=hybrid` run must reproduce the *shapes* the paper's
 //! analyses are built on — FCT CDFs, heavy-hitter ranks, locality
 //! mixes — while packet-only runs stay byte-identical to the engine
-//! before the fast path existed. Every gate here runs at 1, 2 and 8
-//! threads, because the fast path must be as blind to the thread count
-//! as the packet calendar.
+//! before the fast path existed. Every capture-level gate here runs at
+//! 1, 2 and 8 threads, because the fast path must be as blind to the
+//! thread count as the packet calendar; a direct engine run reads no
+//! thread count, so it runs once.
 
 use sonet_dc::analysis::heavy_hitters::{hitters_per_interval, HeavyHitterAgg};
 use sonet_dc::analysis::locality::service_matrix_row;
@@ -97,31 +98,28 @@ const FCT_MEAN_REL_ERR: f64 = 0.35;
 
 #[test]
 fn fct_cdf_shape_matches_packet_engine_at_every_width() {
+    // A direct `Simulator` run reads no thread count, so one hybrid run
+    // stands for every width; the capture-level legs below sweep them.
     let packet = fct_run(11, FidelityMode::Packet);
     let pl = latencies_ms(&packet);
     assert!(pl.len() > 200, "need a real FCT sample, got {}", pl.len());
     let cdf_p = EmpiricalCdf::new(pl.clone());
     let p_mean = pl.iter().sum::<f64>() / pl.len() as f64;
-    for w in widths() {
-        let hybrid = at_width(w, || fct_run(11, FidelityMode::Hybrid));
-        assert!(
-            hybrid.flows_fast > 0,
-            "width {w}: nothing took the fast path"
-        );
-        let hl = latencies_ms(&hybrid);
-        let cdf_h = EmpiricalCdf::new(hl.clone());
-        let ks = ks_statistic(&pl, &hl, &cdf_p, &cdf_h);
-        assert!(
-            ks <= FCT_KS_EPSILON,
-            "width {w}: FCT K-S statistic {ks:.4} exceeds epsilon {FCT_KS_EPSILON}"
-        );
-        let h_mean = hl.iter().sum::<f64>() / hl.len() as f64;
-        let rel = (h_mean - p_mean).abs() / p_mean;
-        assert!(
-            rel <= FCT_MEAN_REL_ERR,
-            "width {w}: FCT mean drifted {rel:.3} (packet {p_mean:.3} ms, hybrid {h_mean:.3} ms)"
-        );
-    }
+    let hybrid = fct_run(11, FidelityMode::Hybrid);
+    assert!(hybrid.flows_fast > 0, "nothing took the fast path");
+    let hl = latencies_ms(&hybrid);
+    let cdf_h = EmpiricalCdf::new(hl.clone());
+    let ks = ks_statistic(&pl, &hl, &cdf_p, &cdf_h);
+    assert!(
+        ks <= FCT_KS_EPSILON,
+        "FCT K-S statistic {ks:.4} exceeds epsilon {FCT_KS_EPSILON}"
+    );
+    let h_mean = hl.iter().sum::<f64>() / hl.len() as f64;
+    let rel = (h_mean - p_mean).abs() / p_mean;
+    assert!(
+        rel <= FCT_MEAN_REL_ERR,
+        "FCT mean drifted {rel:.3} (packet {p_mean:.3} ms, hybrid {h_mean:.3} ms)"
+    );
 }
 
 /// A capture run flattened to one string, the same shape as the

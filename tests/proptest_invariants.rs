@@ -275,11 +275,11 @@ proptest! {
         );
     }
 
-    /// The partitioned calendar on a *random* multi-DC plant with a
-    /// random workload, with the invariant auditor re-checking
-    /// conservation and monotonicity at every lookahead barrier, replays
-    /// the unaudited run event for event: same processed event count,
-    /// same output bytes.
+    /// The engine on a *random* multi-DC plant with a random workload,
+    /// with the invariant auditor re-checking conservation and
+    /// monotonicity at every window barrier, replays the unaudited run
+    /// event for event: same processed event count, same output bytes.
+    /// (The name dates from the per-datacenter calendars.)
     #[test]
     fn partitioned_run_matches_serial_event_for_event(
         spec in arb_spec(),
