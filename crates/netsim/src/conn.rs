@@ -7,13 +7,13 @@
 //! costs O(1) memory rather than one entry per packet.
 
 use crate::packet::{ConnId, Dir, FlowKey};
-use serde::{Deserialize, Serialize};
+use serde::{Content, DeError, Deserialize, DeserializeRow, Serialize, SerializeRow, Sink};
 use sonet_topology::LinkId;
 use sonet_util::{SimDuration, SimTime};
 use std::collections::VecDeque;
 
 /// One run of identical segments awaiting transmission.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, SerializeRow, DeserializeRow)]
 pub(crate) struct SegRun {
     /// Number of segments in the run.
     pub count: u64,
@@ -35,7 +35,7 @@ pub(crate) struct Segment {
 }
 
 /// Run-length-encoded FIFO of segments.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, SerializeRow, DeserializeRow)]
 pub(crate) struct SegQueue {
     runs: VecDeque<SegRun>,
     segments: u64,
@@ -150,7 +150,7 @@ impl SegQueue {
 }
 
 /// Sender + receiver state for one direction of a connection.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, SerializeRow, DeserializeRow)]
 pub(crate) struct DirState {
     /// Segments not yet put on the wire.
     pub pending: SegQueue,
@@ -198,7 +198,7 @@ pub(crate) enum ConnPhase {
 /// Metadata for a message queued by the application: what the server
 /// should send back and after how long, plus when the client issued it
 /// (for latency accounting).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, SerializeRow, DeserializeRow)]
 pub(crate) struct MsgMeta {
     pub response_bytes: u64,
     pub service_time: SimDuration,
@@ -206,7 +206,12 @@ pub(crate) struct MsgMeta {
 }
 
 /// Full state of one simulated connection.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+///
+/// Serialized (only into checkpoints) as one positional row of
+/// [`CONN_CELLS`] cells: its fields in declaration order, with `id` and
+/// `key` written inline as their own fields (`idx, gen` and `client,
+/// server, client_port, server_port`).
+#[derive(Debug, Clone)]
 pub(crate) struct Conn {
     #[allow(dead_code)] // identity kept for debugging/assertions
     pub id: ConnId,
@@ -236,6 +241,62 @@ pub(crate) struct Conn {
     /// Time the connection was opened (SYN emission).
     #[allow(dead_code)] // retained for debugging and future duration accounting
     pub opened_at: SimTime,
+}
+
+/// Cells in a serialized [`Conn`] row.
+const CONN_CELLS: usize = 17;
+
+impl Serialize for Conn {
+    fn serialize<S: Sink + ?Sized>(&self, s: &mut S) {
+        s.seq_begin(CONN_CELLS);
+        self.id.idx.serialize(s);
+        self.id.gen.serialize(s);
+        self.key.client.serialize(s);
+        self.key.server.serialize(s);
+        self.key.client_port.serialize(s);
+        self.key.server_port.serialize(s);
+        self.phase.serialize(s);
+        self.route_fwd.serialize(s);
+        self.route_rev.serialize(s);
+        self.c2s.serialize(s);
+        self.s2c.serialize(s);
+        self.msg_meta.serialize(s);
+        self.resp_req_issued.serialize(s);
+        self.pre_open.serialize(s);
+        self.next_server_msg.serialize(s);
+        self.syn_attempts.serialize(s);
+        self.opened_at.serialize(s);
+        s.seq_end();
+    }
+}
+
+impl Deserialize for Conn {
+    fn from_content(c: &Content) -> Result<Self, DeError> {
+        let r = serde::row(c, CONN_CELLS, "Conn")?;
+        Ok(Conn {
+            id: ConnId {
+                idx: serde::cell(r, 0, "Conn.id.idx")?,
+                gen: serde::cell(r, 1, "Conn.id.gen")?,
+            },
+            key: FlowKey {
+                client: serde::cell(r, 2, "Conn.key.client")?,
+                server: serde::cell(r, 3, "Conn.key.server")?,
+                client_port: serde::cell(r, 4, "Conn.key.client_port")?,
+                server_port: serde::cell(r, 5, "Conn.key.server_port")?,
+            },
+            phase: serde::cell(r, 6, "Conn.phase")?,
+            route_fwd: serde::cell(r, 7, "Conn.route_fwd")?,
+            route_rev: serde::cell(r, 8, "Conn.route_rev")?,
+            c2s: serde::cell(r, 9, "Conn.c2s")?,
+            s2c: serde::cell(r, 10, "Conn.s2c")?,
+            msg_meta: serde::cell(r, 11, "Conn.msg_meta")?,
+            resp_req_issued: serde::cell(r, 12, "Conn.resp_req_issued")?,
+            pre_open: serde::cell(r, 13, "Conn.pre_open")?,
+            next_server_msg: serde::cell(r, 14, "Conn.next_server_msg")?,
+            syn_attempts: serde::cell(r, 15, "Conn.syn_attempts")?,
+            opened_at: serde::cell(r, 16, "Conn.opened_at")?,
+        })
+    }
 }
 
 impl Conn {

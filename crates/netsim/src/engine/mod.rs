@@ -45,9 +45,10 @@ use std::sync::Arc;
 /// serial engine's single-calendar snapshot; version 2 predates
 /// gray-failure link state; version 3 keyed events by partition rather
 /// than region; version 4 predates the hybrid fidelity engine's
-/// flow-mode section. None is loadable here (restoring an old
-/// checkpoint requires the release that wrote it).
-const CHECKPOINT_VERSION: u32 = 5;
+/// flow-mode section; version 5 wrote connection endpoints as maps of
+/// field names rather than positional rows. None is loadable here
+/// (restoring an old checkpoint requires the release that wrote it).
+pub const CHECKPOINT_VERSION: u32 = 6;
 
 /// Window length: a window ends at most this long after the calendar
 /// head it opened on (sooner at a fast-path instant or the run horizon),
@@ -1583,6 +1584,20 @@ impl EngineCheckpoint {
     pub fn taken_at(&self) -> SimTime {
         self.now
     }
+
+    /// Accepts only the format version this build writes,
+    /// [`CHECKPOINT_VERSION`]. [`Simulator::restore`] checks it, and a
+    /// reader can check the version field before decoding the rest, so
+    /// that another format fails on its version rather than on its shape.
+    pub fn check_version(found: u64) -> Result<(), SimError> {
+        if found == u64::from(CHECKPOINT_VERSION) {
+            return Ok(());
+        }
+        Err(SimError::Config(format!(
+            "checkpoint mismatch: unsupported checkpoint version {found} \
+             (this build reads {CHECKPOINT_VERSION})"
+        )))
+    }
 }
 
 impl<T: PacketTap> Simulator<T> {
@@ -1704,9 +1719,7 @@ impl<T: PacketTap> Simulator<T> {
         let n_hosts = sh.topo.hosts().len();
         let n_regions = sh.regions.n_regions as usize;
         let bad = |what: &str| Err(SimError::Config(format!("checkpoint mismatch: {what}")));
-        if ckpt.version != CHECKPOINT_VERSION {
-            return bad("unsupported checkpoint version");
-        }
+        EngineCheckpoint::check_version(ckpt.version.into())?;
         if ckpt.link_free_at.len() != n_links
             || ckpt.link_backlog.len() != n_links
             || ckpt.link_counters.len() != n_links

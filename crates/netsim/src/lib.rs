@@ -43,7 +43,7 @@ pub mod tap;
 pub use config::{BufferConfig, SimConfig};
 pub use engine::{
     AuditReport, AuditViolation, BufferWindowStat, EngineCheckpoint, FidelityConfig, FidelityMode,
-    LinkCounters, LiveCounters, ParallelStats, SimError, SimOutputs, Simulator,
+    LinkCounters, LiveCounters, ParallelStats, SimError, SimOutputs, Simulator, CHECKPOINT_VERSION,
 };
 pub use faults::{FaultEvent, FaultKind, FaultPlan, MAX_FLAP_CYCLES};
 pub use packet::{ConnId, Dir, FlowKey, Packet, PacketKind};

@@ -571,7 +571,7 @@ fn engine_bytes_match_pinned_digests() {
         EngineDigests {
             outputs: 0x4c8d_0512_a722_cf49,
             taps: 0x62b7_9c19_3922_1e1a,
-            checkpoint: 0x22ab_b32f_99c2_d647,
+            checkpoint: 0xe745_631d_0bad_1508,
         },
         "packet-mode engine bytes moved"
     );
@@ -580,7 +580,7 @@ fn engine_bytes_match_pinned_digests() {
         EngineDigests {
             outputs: 0xab44_3e13_52d1_4610,
             taps: 0x62b7_9c19_3922_1e1a,
-            checkpoint: 0xb0e8_bda3_e413_aa8e,
+            checkpoint: 0x72d7_97a9_6e7c_1ea1,
         },
         "hybrid-mode engine bytes moved"
     );
