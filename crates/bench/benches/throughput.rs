@@ -3,7 +3,7 @@
 //! Measures the three rates the performance work is judged on — engine
 //! events/sec, fleet-tier records/sec (generation + tagging), and
 //! end-to-end scenario wall time (fleet generate + tag + Table 3 +
-//! Fig 5) — plus the partitioned, obs and hybrid legs, fills a
+//! Fig 5) — plus the partitioned, obs, hybrid and checkpoint legs, fills a
 //! [`sonet_bench::ledger::Bench`] and writes it to `BENCH.json` with
 //! `serde_json`. It then runs [`sonet_bench::ledger::gates`] against the
 //! committed `crates/bench/BENCH-baseline.json`, prints one
@@ -21,12 +21,12 @@
 //! byte-identical for every value, only the rates move.
 //! `SONET_BENCH_OUT` overrides the output path (default `BENCH.json`).
 
-use sonet_bench::ledger::{self, Bench, Hybrid, Obs, ObsTimeline, Partitioned};
+use sonet_bench::ledger::{self, Bench, Checkpoint, Hybrid, Obs, ObsTimeline, Partitioned};
 use sonet_bench::{banner, fast_mode, BENCH_SEED};
 use sonet_core::reports;
 use sonet_core::scenario::{packet_tier_spec, ScenarioScale};
 use sonet_core::{FleetData, FleetRunConfig};
-use sonet_netsim::{FidelityConfig, NullTap, SimConfig, Simulator};
+use sonet_netsim::{EngineCheckpoint, FidelityConfig, NullTap, SimConfig, Simulator};
 use sonet_topology::{ClusterSpec, DatacenterSpec, HostRole, SiteSpec, Topology, TopologySpec};
 use sonet_util::obs::{self, ObsMode};
 use sonet_util::{par, SimDuration, SimTime};
@@ -204,6 +204,41 @@ fn bench_hybrid(topo: &Arc<Topology>, fast: bool, rounds: u32) -> Hybrid {
     }
 }
 
+/// Checkpoint cost on the hybrid leg's plant and workload: the run is
+/// stopped halfway to its horizon, then checkpointed to JSON text and
+/// restored from that text `rounds` times, keeping the fastest of each.
+/// Restore covers parsing as well as `Simulator::restore`.
+fn bench_checkpoint(topo: &Arc<Topology>, fast: bool, rounds: u32) -> Checkpoint {
+    let mut sim =
+        Simulator::new(Arc::clone(topo), SimConfig::default(), NullTap).expect("bench sim");
+    sim.set_fidelity(FidelityConfig::hybrid())
+        .expect("fidelity");
+    let horizon = seed_locality_mix(&mut sim, topo, fast);
+    sim.run_until(SimTime::from_nanos(horizon.as_nanos() / 2));
+    let (mut write_secs, mut restore_secs) = (f64::INFINITY, f64::INFINITY);
+    let mut bytes = 0;
+    for _ in 0..rounds {
+        let start = Instant::now();
+        let text = serde_json::to_string(&sim.checkpoint()).expect("serialize checkpoint");
+        write_secs = write_secs.min(start.elapsed().as_secs_f64());
+        let start = Instant::now();
+        let ckpt: EngineCheckpoint = serde_json::from_str(&text).expect("parse checkpoint");
+        let restored = Simulator::restore(Arc::clone(topo), NullTap, ckpt).expect("restore");
+        restore_secs = restore_secs.min(start.elapsed().as_secs_f64());
+        assert_eq!(
+            restored.pending_events(),
+            sim.pending_events(),
+            "the restored engine must hold the same calendar"
+        );
+        bytes = text.len() as u64;
+    }
+    Checkpoint {
+        bytes,
+        write_secs,
+        restore_secs,
+    }
+}
+
 /// Wall seconds each obs-overhead leg is sized to reach: long enough
 /// that scheduler and cache noise is a small share of the timing.
 const OBS_MIN_LEG_SECS: f64 = 0.25;
@@ -356,6 +391,13 @@ fn main() -> ExitCode {
         hybrid.equiv_events_sec,
     );
 
+    let checkpoint = bench_checkpoint(&four_dc, fast_mode(), 5);
+    println!(
+        "checkpoint: {} bytes, write {:.4}s, restore {:.4}s (best of 5, hybrid plant at half \
+         its horizon)",
+        checkpoint.bytes, checkpoint.write_secs, checkpoint.restore_secs,
+    );
+
     // Flight-recorder overhead on the engine, off vs summary
     // with the streaming timeline on.
     let (obs, obs_timeline) = bench_obs_overhead(scale, sim_secs);
@@ -387,6 +429,7 @@ fn main() -> ExitCode {
         obs,
         obs_timeline,
         hybrid,
+        checkpoint,
     };
     println!(
         "threads {}: engine {:.0} events/s ({} events / {:.2}s), fleet {:.0} records/s \

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ledger format version, written as `"schema"`.
-pub const SCHEMA: u32 = 9;
+pub const SCHEMA: u32 = 10;
 
 /// The committed baseline ledger (`crates/bench/BENCH-baseline.json`)
 /// that the two floors compare against.
@@ -51,6 +51,8 @@ pub struct Bench {
     pub obs_timeline: ObsTimeline,
     /// Hybrid fast path against the packet engine.
     pub hybrid: Hybrid,
+    /// A mid-run engine checkpoint of the hybrid leg's plant.
+    pub checkpoint: Checkpoint,
 }
 
 /// The engine's drain alone, on a pre-seeded workload.
@@ -113,6 +115,20 @@ pub struct Hybrid {
     /// fidelity modes, so the gate compares wall time over identical
     /// traffic.
     pub wall_speedup_over_packet: f64,
+}
+
+/// The cost of an engine checkpoint taken halfway through the hybrid
+/// leg's run. No gate reads it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Checkpoint {
+    /// Bytes of the checkpoint's JSON text.
+    pub bytes: u64,
+    /// Best-of-N wall seconds of `Simulator::checkpoint` plus writing its
+    /// JSON text.
+    pub write_secs: f64,
+    /// Best-of-N wall seconds of parsing that text plus
+    /// `Simulator::restore`.
+    pub restore_secs: f64,
 }
 
 /// A gate's outcome.
