@@ -585,3 +585,92 @@ fn engine_bytes_match_pinned_digests() {
         "hybrid-mode engine bytes moved"
     );
 }
+
+/// The digests a fleet run of [`fleet_digests`] must reproduce.
+#[derive(Debug, PartialEq, Eq)]
+struct FleetDigests {
+    rows: usize,
+    relaxed: u64,
+    /// FNV-1a 64 over every field of every tagged row, in table order.
+    table: u64,
+    table3: u64,
+    fig5: u64,
+}
+
+/// A fast fleet run at `seed` on `threads` workers (generation shards
+/// and tagging both fan out), reduced to [`FleetDigests`].
+fn fleet_digests(seed: u64, threads: usize) -> FleetDigests {
+    let data = FleetData::run_with(&FleetRunConfig::fast(seed), Some(threads)).expect("fleet");
+    let mut bytes = Vec::with_capacity(data.table.len() * 20 * 8);
+    for r in data.table.rows() {
+        let f = &r.rec;
+        for v in [
+            f.at.as_nanos(),
+            f.capture_host.0.into(),
+            f.src.0.into(),
+            f.dst.0.into(),
+            f.src_port.into(),
+            f.dst_port.into(),
+            f.bytes,
+            f.packets,
+            r.src_role as u64,
+            r.dst_role as u64,
+            r.src_rack.0.into(),
+            r.dst_rack.0.into(),
+            r.src_cluster.0.into(),
+            r.dst_cluster.0.into(),
+            r.src_cluster_type as u64,
+            r.dst_cluster_type as u64,
+            r.src_dc.0.into(),
+            r.dst_dc.0.into(),
+            r.locality as u64,
+        ] {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    FleetDigests {
+        rows: data.table.len(),
+        relaxed: data.relaxed_picks,
+        table: fnv64(&bytes),
+        table3: fnv64(reports::table3(&data).render().as_bytes()),
+        fig5: fnv64(reports::fig5(&data).expect("fig5").render().as_bytes()),
+    }
+}
+
+#[test]
+fn fleet_bytes_match_pinned_digests() {
+    // The fleet tier's own bytes: the generator (destination picks, the
+    // diurnal clock, the time sort), the tagger and the Table 3 / Fig 5
+    // analyses. Generation is sharded by host, so every width must land
+    // on the same constants.
+    for (seed, want) in [
+        (
+            7,
+            FleetDigests {
+                rows: 25_600,
+                relaxed: 762,
+                table: 0x8cd6_e834_40a4_dbe6,
+                table3: 0xd0ef_5315_d2be_2d94,
+                fig5: 0x4370_8751_a136_1fdc,
+            },
+        ),
+        (
+            42,
+            FleetDigests {
+                rows: 25_600,
+                relaxed: 763,
+                table: 0x8a0f_ea4b_068b_1def,
+                table3: 0xa22e_d77e_659e_6931,
+                fig5: 0x0aa6_6301_f7da_fe73,
+            },
+        ),
+    ] {
+        for w in [1, 2, 8] {
+            assert_eq!(
+                fleet_digests(seed, w),
+                want,
+                "fleet bytes moved at seed {seed}, width {w}"
+            );
+        }
+    }
+}
