@@ -14,7 +14,8 @@ use sonet_util::{SimDuration, SimTime};
 /// peak-to-trough ratio is `(1+1/3)/(1-1/3) = 2×`, matching §4.1.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DiurnalPattern {
-    /// Swing around the mean; must be in `[0, 1)`.
+    /// Swing around the mean; `|amplitude| < 1` keeps the multiplier
+    /// positive. A negative amplitude shifts the peak by half a period.
     pub amplitude: f64,
     /// Length of one cycle (a simulated day).
     pub period: SimDuration,
@@ -53,9 +54,23 @@ impl DiurnalPattern {
         }
     }
 
+    /// The closed range `[lo, hi]` every [`multiplier`](Self::multiplier)
+    /// value lies in: `1 ± |amplitude|`. `sin` stays within ±1, and float
+    /// multiply and add are monotone, so `1 + a·sin(x)` cannot leave
+    /// `[1 − |a|, 1 + |a|]` as computed. A sine argument that overflows
+    /// (a phase too large or not finite) makes `sin` NaN, which no range
+    /// holds; the range is then the whole line.
+    pub fn bounds(&self) -> (f64, f64) {
+        if !(std::f64::consts::TAU * (self.phase.abs() + 1.0)).is_finite() {
+            return (f64::NEG_INFINITY, f64::INFINITY);
+        }
+        let a = self.amplitude.abs();
+        (1.0 - a, 1.0 + a)
+    }
+
     /// The rate multiplier at time `t`.
     pub fn multiplier(&self, t: SimTime) -> f64 {
-        debug_assert!((0.0..1.0).contains(&self.amplitude));
+        debug_assert!(self.amplitude.abs() < 1.0);
         if self.amplitude == 0.0 {
             return 1.0;
         }

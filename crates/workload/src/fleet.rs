@@ -20,7 +20,7 @@
 use crate::diurnal::DiurnalPattern;
 use serde::{Deserialize, Serialize};
 use sonet_telemetry::FlowRecord;
-use sonet_topology::{HostId, HostRole, Locality, Topology};
+use sonet_topology::{Host, HostId, HostRole, Locality, Topology};
 use sonet_util::{par, Rng, SimDuration, SimTime};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -198,12 +198,15 @@ pub fn cluster_type_shares() -> [(sonet_topology::ClusterType, f64); 5] {
 /// disjoint, increasing time ranges, so no record crosses a bucket
 /// boundary. Timestamps are spread over a day, so the buckets stay
 /// small and the whole sort is linear; its scratch is one copy of the
-/// records.
+/// records. A bucket of up to [`INSERTION_MAX`] records is sorted by
+/// insertion; a larger one (clustered input) keeps the O(n log n)
+/// library sort.
 pub fn sort_by_time(records: &mut Vec<FlowRecord>) {
     /// Below this the comparison sort is as fast and needs no scratch.
     const MIN_BUCKETED: usize = 64;
     let n = records.len();
-    if n < MIN_BUCKETED {
+    // Bucket cursors are u32, which halves the count arrays.
+    if n < MIN_BUCKETED || u32::try_from(n).is_err() {
         records.sort_by_key(|r| r.at);
         return;
     }
@@ -216,7 +219,7 @@ pub fn sort_by_time(records: &mut Vec<FlowRecord>) {
     let shift = (u64::BITS - (hi - lo).leading_zeros()).saturating_sub(bucket_bits);
     let bucket = |r: &FlowRecord| ((r.at.as_nanos() - lo) >> shift) as usize;
     // starts[b]..starts[b + 1] is bucket b's range in the output.
-    let mut starts = vec![0usize; (1 << bucket_bits) + 1];
+    let mut starts = vec![0u32; (1 << bucket_bits) + 1];
     for r in records.iter() {
         starts[bucket(r) + 1] += 1;
     }
@@ -227,13 +230,36 @@ pub fn sort_by_time(records: &mut Vec<FlowRecord>) {
     let mut sorted = vec![records[0]; n];
     for r in records.iter() {
         let slot = &mut next[bucket(r)];
-        sorted[*slot] = *r;
+        sorted[*slot as usize] = *r;
         *slot += 1;
     }
     for w in starts.windows(2) {
-        sorted[w[0]..w[1]].sort_by_key(|r| r.at);
+        let b = &mut sorted[w[0] as usize..w[1] as usize];
+        if b.len() <= INSERTION_MAX {
+            insertion_sort_by_time(b);
+        } else {
+            b.sort_by_key(|r| r.at);
+        }
     }
     *records = sorted;
+}
+
+/// Largest bucket [`sort_by_time`] sorts by insertion; buckets average
+/// 8 to 16 records.
+const INSERTION_MAX: usize = 32;
+
+/// Stable insertion sort by `at`: a record moves left only past records
+/// with a strictly later time.
+fn insertion_sort_by_time(b: &mut [FlowRecord]) {
+    for i in 1..b.len() {
+        let r = b[i];
+        let mut j = i;
+        while j > 0 && b[j - 1].at > r.at {
+            b[j] = b[j - 1];
+            j -= 1;
+        }
+        b[j] = r;
+    }
 }
 
 /// A role's demand table with its weight prefix precomputed, so a sample
@@ -243,6 +269,22 @@ pub fn sort_by_time(records: &mut Vec<FlowRecord>) {
 struct PreparedDemand {
     entries: Vec<DemandEntry>,
     total_weight: f64,
+}
+
+impl PreparedDemand {
+    /// The entry a draw `target` in `[0, total_weight)` lands on, with the
+    /// single-draw scan of `Rng::pick_weighted` (float slack falls to the
+    /// last entry); `None` for an empty table.
+    fn entry_at(&self, mut target: f64) -> Option<usize> {
+        let last = self.entries.len().checked_sub(1)?;
+        for (k, d) in self.entries.iter().enumerate() {
+            if target < d.weight {
+                return Some(k);
+            }
+            target -= d.weight;
+        }
+        Some(last)
+    }
 }
 
 /// A contiguous segment of a [`RoleIndex`] host array.
@@ -308,39 +350,97 @@ impl RoleIndex {
         }
     }
 
-    /// Uniform pick from segment `seg` minus the (possibly empty)
-    /// sub-segment `hole` contained in it.
-    fn pick_minus(&self, rng: &mut Rng, seg: Seg, hole: Seg) -> Option<HostId> {
-        let count = seg.len - hole.len;
-        if count == 0 {
-            return None;
-        }
-        let mut i = rng.below(count as u64) as u32;
-        if !hole.is_empty() && i >= hole.start - seg.start {
-            i += hole.len;
-        }
-        Some(self.hosts[(seg.start + i) as usize])
-    }
-
-    /// Uniform pick from segment `seg` excluding the single host
-    /// `skip` (which may or may not be in the segment).
-    fn pick_skipping(&self, rng: &mut Rng, seg: Seg, skip: HostId) -> Option<HostId> {
-        let range = seg.start as usize..(seg.start + seg.len) as usize;
-        // Within one rack the hierarchical key degenerates to the host
-        // id, so the segment is id-sorted and the skip position binary-
-        // searchable.
-        let skip_pos = self.hosts[range.clone()].binary_search(&skip).ok();
-        let count = seg.len as u64 - u64::from(skip_pos.is_some());
-        if count == 0 {
-            return None;
-        }
-        let mut i = rng.below(count) as usize;
-        if let Some(p) = skip_pos {
-            if i >= p {
-                i += 1;
+    /// The candidates at exactly `locality` relative to the source
+    /// `src` (whose topology entry is `info`): a segment of `hosts` and
+    /// the hole it skips, as `(segment, hole offset, hole length)`, or
+    /// `None` when there is no candidate. The hole is the excluded inner
+    /// scope, which the hierarchical sort makes one contiguous sub-range,
+    /// or within a rack the source itself.
+    fn level(&self, src: HostId, info: &Host, locality: Locality) -> Option<(Seg, u32, u32)> {
+        let (seg, hole) = match locality {
+            Locality::IntraRack => {
+                let seg = self.rack[info.rack.index()];
+                // Within one rack the hierarchical key degenerates to the
+                // host id, so the segment is id-sorted and the source's
+                // position binary-searchable.
+                let range = seg.start as usize..(seg.start + seg.len) as usize;
+                let skip = self.hosts[range].binary_search(&src).ok();
+                let hole = skip.map_or(Seg::default(), |p| Seg {
+                    start: seg.start + p as u32,
+                    len: 1,
+                });
+                (seg, hole)
             }
+            Locality::IntraCluster => (
+                self.cluster[info.cluster.index()],
+                self.rack[info.rack.index()],
+            ),
+            Locality::IntraDatacenter => (
+                self.dc[info.datacenter.index()],
+                self.cluster[info.cluster.index()],
+            ),
+            Locality::InterDatacenter => (
+                Seg {
+                    start: 0,
+                    len: self.hosts.len() as u32,
+                },
+                self.dc[info.datacenter.index()],
+            ),
+        };
+        if seg.len == hole.len {
+            return None;
         }
-        Some(self.hosts[range.start + i])
+        let hole_at = if hole.is_empty() {
+            0
+        } else {
+            hole.start - seg.start
+        };
+        Some((seg, hole_at, hole.len))
+    }
+}
+
+/// The localities a demand entry tries, in order, when its desired one
+/// has no candidate: outward first, then inward.
+fn relaxation_order(locality: Locality) -> [Locality; 4] {
+    use Locality::*;
+    match locality {
+        IntraRack => [IntraRack, IntraCluster, IntraDatacenter, InterDatacenter],
+        IntraCluster => [IntraCluster, IntraDatacenter, InterDatacenter, IntraRack],
+        IntraDatacenter => [IntraDatacenter, InterDatacenter, IntraCluster, IntraRack],
+        InterDatacenter => [InterDatacenter, IntraDatacenter, IntraCluster, IntraRack],
+    }
+}
+
+/// Where one (source host, demand entry) pair sends: the outcome of the
+/// relaxation walk, as a candidate range and the hole it skips. A level
+/// without candidates draws nothing from the RNG, so the walk's outcome
+/// is a function of the pair alone; [`FleetModel::plan`] computes it
+/// once per host, and a sample then costs one `below(count)`.
+#[derive(Debug, Clone, Copy)]
+struct Plan<'a> {
+    /// The candidate range of the destination role's host index, hole
+    /// included.
+    hosts: &'a [HostId],
+    /// Candidates: the range minus the hole.
+    count: u32,
+    /// Offset of the hole in `hosts`.
+    hole_at: u32,
+    /// Length of the hole; 0 when nothing is skipped.
+    hole_len: u32,
+    /// True when the walk left the entry's desired locality.
+    relaxed: bool,
+    /// The destination role's service port.
+    dst_port: u16,
+}
+
+impl Plan<'_> {
+    /// A uniform pick among the plan's candidates.
+    fn pick(&self, rng: &mut Rng) -> HostId {
+        let mut i = rng.below(u64::from(self.count)) as u32;
+        if i >= self.hole_at {
+            i += self.hole_len;
+        }
+        self.hosts[i as usize]
     }
 }
 
@@ -538,149 +638,90 @@ impl FleetModel {
     ) -> (Vec<FlowRecord>, u64) {
         let mut out = Vec::with_capacity(capacity);
         let mut relaxed = 0u64;
+        let span = self.cfg.duration.as_nanos().max(1);
+        let mut plans = Vec::new();
         for h in hosts {
             let src = HostId(h);
+            let info = self.topo.host(src);
+            let prep = &self.demand[info.role as usize];
+            let sample_bytes = self.host_sample_bytes[src.index()];
+            plans.clear();
+            plans.extend(prep.entries.iter().map(|e| self.plan(src, info, e)));
             let mut rng = self.base.fork_idx("host", h as u64);
             for _ in 0..self.cfg.samples_per_host {
-                if let Some(rec) = self.one_sample(src, &mut rng, &mut relaxed) {
-                    out.push(rec);
-                }
+                // Weighted entry pick, same single-draw semantics as
+                // `Rng::pick_weighted` but against the precomputed total.
+                // A pair with no candidate anywhere emits nothing.
+                let entry = prep.entry_at(rng.f64() * prep.total_weight);
+                let Some(plan) = entry.and_then(|k| plans[k]) else {
+                    continue;
+                };
+                let dst = plan.pick(&mut rng);
+                relaxed += u64::from(plan.relaxed);
+                let at = diurnal_time(&self.cfg.diurnal, span, &mut rng);
+                // Heavy-tailed per-sample volume around the host's budget:
+                // flow volumes in real Fbflow data span many decades, which
+                // is what stretches Fig 5's cluster-pair spread past 7
+                // orders of magnitude.
+                let jitter = (1.5 * rng.standard_normal()).exp();
+                let bytes = (sample_bytes * jitter).max(1.0) as u64;
+                out.push(FlowRecord {
+                    at,
+                    capture_host: src,
+                    src,
+                    dst,
+                    src_port: 32768 + (rng.below(16_384) as u16),
+                    dst_port: plan.dst_port,
+                    bytes,
+                    packets: (bytes / 700).max(1), // representative mean packet size
+                });
             }
         }
         (out, relaxed)
     }
 
-    fn one_sample(&self, src: HostId, rng: &mut Rng, relaxed: &mut u64) -> Option<FlowRecord> {
-        let role = self.topo.host(src).role;
-        let prep = &self.demand[role as usize];
-        // Weighted entry pick, same single-draw semantics as
-        // `Rng::pick_weighted` but against the precomputed total.
-        let mut target = rng.f64() * prep.total_weight;
-        let mut entry = *prep.entries.last()?;
-        for d in &prep.entries {
-            if target < d.weight {
-                entry = *d;
-                break;
-            }
-            target -= d.weight;
-        }
-        let dst = self.pick_host(src, entry.dst_role, entry.locality, rng, relaxed)?;
-        let at = self.diurnal_time(rng);
-        // Heavy-tailed per-sample volume around the host's budget: flow
-        // volumes in real Fbflow data span many decades, which is what
-        // stretches Fig 5's cluster-pair spread past 7 orders of magnitude.
-        let jitter = {
-            let z = rng.standard_normal();
-            (1.5 * z).exp()
-        };
-        let bytes = (self.host_sample_bytes[src.index()] * jitter).max(1.0) as u64;
-        Some(FlowRecord {
-            at,
-            capture_host: src,
-            src,
-            dst,
-            src_port: 32768 + (rng.below(16_384) as u16),
-            dst_port: crate::workload::port_for(entry.dst_role),
-            bytes,
-            packets: (bytes / 700).max(1), // representative mean packet size
-        })
+    /// The [`Plan`] for samples from `src` (topology entry `info`) under
+    /// demand entry `entry`: the first locality of its relaxation order
+    /// with a candidate of the entry's role, or `None` when the plant has
+    /// none at any locality.
+    fn plan(&self, src: HostId, info: &Host, entry: &DemandEntry) -> Option<Plan<'_>> {
+        let idx = &self.picks[entry.dst_role as usize];
+        relaxation_order(entry.locality)
+            .into_iter()
+            .enumerate()
+            .find_map(|(depth, loc)| {
+                let (seg, hole_at, hole_len) = idx.level(src, info, loc)?;
+                Some(Plan {
+                    hosts: &idx.hosts[seg.start as usize..(seg.start + seg.len) as usize],
+                    count: seg.len - hole_len,
+                    hole_at,
+                    hole_len,
+                    relaxed: depth > 0,
+                    dst_port: crate::workload::port_for(entry.dst_role),
+                })
+            })
     }
+}
 
-    /// A timestamp in `[0, duration)` with density following the diurnal
-    /// envelope (rejection sampling).
-    fn diurnal_time(&self, rng: &mut Rng) -> SimTime {
-        let span = self.cfg.duration.as_nanos();
-        loop {
-            let t = SimTime::from_nanos(rng.below(span.max(1)));
-            let m = self.cfg.diurnal.multiplier(t);
-            // Multiplier is within [1-a, 1+a]; accept proportionally.
-            if rng.f64() * (1.0 + 1.0) < m {
-                return t;
-            }
+/// A timestamp in `[0, span)` nanoseconds with density following the
+/// diurnal envelope: rejection sampling, accepting `t` when a uniform
+/// `u` in `[0, 2)` falls below `multiplier(t)`. The multiplier lies in
+/// [`DiurnalPattern::bounds`], so a `u` below that range accepts and one
+/// at or above it rejects without evaluating the sine; the draws, and so
+/// the stream, are those of the full rule.
+fn diurnal_time(diurnal: &DiurnalPattern, span: u64, rng: &mut Rng) -> SimTime {
+    let (lo, hi) = diurnal.bounds();
+    loop {
+        let t = SimTime::from_nanos(rng.below(span));
+        let u = rng.f64() * 2.0;
+        if u < lo {
+            return t;
         }
-    }
-
-    /// Picks a host of `role` at `locality` relative to `src`, relaxing
-    /// toward broader localities when the plant has no candidate.
-    fn pick_host(
-        &self,
-        src: HostId,
-        role: HostRole,
-        locality: Locality,
-        rng: &mut Rng,
-        relaxed: &mut u64,
-    ) -> Option<HostId> {
-        let order: [Locality; 4] = match locality {
-            Locality::IntraRack => [
-                Locality::IntraRack,
-                Locality::IntraCluster,
-                Locality::IntraDatacenter,
-                Locality::InterDatacenter,
-            ],
-            Locality::IntraCluster => [
-                Locality::IntraCluster,
-                Locality::IntraDatacenter,
-                Locality::InterDatacenter,
-                Locality::IntraRack,
-            ],
-            Locality::IntraDatacenter => [
-                Locality::IntraDatacenter,
-                Locality::InterDatacenter,
-                Locality::IntraCluster,
-                Locality::IntraRack,
-            ],
-            Locality::InterDatacenter => [
-                Locality::InterDatacenter,
-                Locality::IntraDatacenter,
-                Locality::IntraCluster,
-                Locality::IntraRack,
-            ],
-        };
-        for (i, &loc) in order.iter().enumerate() {
-            if let Some(h) = self.try_pick(src, role, loc, rng) {
-                if i > 0 {
-                    *relaxed += 1;
-                }
-                return Some(h);
-            }
+        if u >= hi {
+            continue;
         }
-        None
-    }
-
-    /// Uniform candidate pick at exactly `locality`, or `None` when the
-    /// plant has no candidate there. O(1) per call (one binary search in
-    /// the intra-rack case): candidates are contiguous ranges of the
-    /// precomputed [`RoleIndex`], with the excluded inner scope skipped
-    /// arithmetically rather than filtered.
-    fn try_pick(
-        &self,
-        src: HostId,
-        role: HostRole,
-        locality: Locality,
-        rng: &mut Rng,
-    ) -> Option<HostId> {
-        let info = self.topo.host(src);
-        let idx = &self.picks[role as usize];
-        match locality {
-            Locality::IntraRack => idx.pick_skipping(rng, idx.rack[info.rack.index()], src),
-            Locality::IntraCluster => idx.pick_minus(
-                rng,
-                idx.cluster[info.cluster.index()],
-                idx.rack[info.rack.index()],
-            ),
-            Locality::IntraDatacenter => idx.pick_minus(
-                rng,
-                idx.dc[info.datacenter.index()],
-                idx.cluster[info.cluster.index()],
-            ),
-            Locality::InterDatacenter => idx.pick_minus(
-                rng,
-                Seg {
-                    start: 0,
-                    len: idx.hosts.len() as u32,
-                },
-                idx.dc[info.datacenter.index()],
-            ),
+        if u < diurnal.multiplier(t) {
+            return t;
         }
     }
 }
@@ -900,6 +941,209 @@ mod tests {
                 assert_eq!(g, w, "{name}: record {i} differs");
             }
         }
+    }
+
+    /// The rejection rule without the bound shortcut: every draw
+    /// evaluates the multiplier.
+    fn diurnal_time_full(diurnal: &DiurnalPattern, span: u64, rng: &mut Rng) -> SimTime {
+        loop {
+            let t = SimTime::from_nanos(rng.below(span));
+            if rng.f64() * (1.0 + 1.0) < diurnal.multiplier(t) {
+                return t;
+            }
+        }
+    }
+
+    #[test]
+    fn diurnal_shortcut_draws_what_the_full_rule_draws() {
+        // A 90 s period over a 1000 s span wraps `t % period` many times.
+        let span = SimDuration::from_secs(1_000).as_nanos();
+        let mut rng = Rng::new(41);
+        for amplitude in [0.0, 1.0 / 3.0, 0.9, -0.2] {
+            for phase in [0.0, 0.25, 0.7] {
+                let diurnal = DiurnalPattern {
+                    amplitude,
+                    period: SimDuration::from_secs(90),
+                    phase,
+                };
+                let mut fast = rng.clone();
+                let mut full = rng.clone();
+                for i in 0..100_000 {
+                    assert_eq!(
+                        diurnal_time(&diurnal, span, &mut fast),
+                        diurnal_time_full(&diurnal, span, &mut full),
+                        "amplitude {amplitude}, phase {phase}: draw {i} differs"
+                    );
+                }
+                assert_eq!(fast, full, "amplitude {amplitude}, phase {phase}");
+                rng = fast;
+            }
+        }
+    }
+
+    /// The per-sample relaxation walk the plans replace, kept as their
+    /// oracle: the pick and how many localities it relaxed past.
+    fn walk_pick(
+        model: &FleetModel,
+        src: HostId,
+        entry: &DemandEntry,
+        rng: &mut Rng,
+    ) -> Option<(HostId, usize)> {
+        let order: [Locality; 4] = match entry.locality {
+            Locality::IntraRack => [
+                Locality::IntraRack,
+                Locality::IntraCluster,
+                Locality::IntraDatacenter,
+                Locality::InterDatacenter,
+            ],
+            Locality::IntraCluster => [
+                Locality::IntraCluster,
+                Locality::IntraDatacenter,
+                Locality::InterDatacenter,
+                Locality::IntraRack,
+            ],
+            Locality::IntraDatacenter => [
+                Locality::IntraDatacenter,
+                Locality::InterDatacenter,
+                Locality::IntraCluster,
+                Locality::IntraRack,
+            ],
+            Locality::InterDatacenter => [
+                Locality::InterDatacenter,
+                Locality::IntraDatacenter,
+                Locality::IntraCluster,
+                Locality::IntraRack,
+            ],
+        };
+        for (depth, &loc) in order.iter().enumerate() {
+            if let Some(h) = try_pick(model, src, entry.dst_role, loc, rng) {
+                return Some((h, depth));
+            }
+        }
+        None
+    }
+
+    /// Uniform candidate pick at exactly `locality`, or `None` (drawing
+    /// nothing) when the plant has no candidate there.
+    fn try_pick(
+        model: &FleetModel,
+        src: HostId,
+        role: HostRole,
+        locality: Locality,
+        rng: &mut Rng,
+    ) -> Option<HostId> {
+        let info = model.topo.host(src);
+        let idx = &model.picks[role as usize];
+        match locality {
+            Locality::IntraRack => pick_skipping(idx, rng, idx.rack[info.rack.index()], src),
+            Locality::IntraCluster => pick_minus(
+                idx,
+                rng,
+                idx.cluster[info.cluster.index()],
+                idx.rack[info.rack.index()],
+            ),
+            Locality::IntraDatacenter => pick_minus(
+                idx,
+                rng,
+                idx.dc[info.datacenter.index()],
+                idx.cluster[info.cluster.index()],
+            ),
+            Locality::InterDatacenter => pick_minus(
+                idx,
+                rng,
+                Seg {
+                    start: 0,
+                    len: idx.hosts.len() as u32,
+                },
+                idx.dc[info.datacenter.index()],
+            ),
+        }
+    }
+
+    /// Uniform pick from segment `seg` minus the (possibly empty)
+    /// sub-segment `hole` contained in it.
+    fn pick_minus(idx: &RoleIndex, rng: &mut Rng, seg: Seg, hole: Seg) -> Option<HostId> {
+        let count = seg.len - hole.len;
+        if count == 0 {
+            return None;
+        }
+        let mut i = rng.below(count as u64) as u32;
+        if !hole.is_empty() && i >= hole.start - seg.start {
+            i += hole.len;
+        }
+        Some(idx.hosts[(seg.start + i) as usize])
+    }
+
+    /// Uniform pick from segment `seg` excluding the single host `skip`.
+    fn pick_skipping(idx: &RoleIndex, rng: &mut Rng, seg: Seg, skip: HostId) -> Option<HostId> {
+        let range = seg.start as usize..(seg.start + seg.len) as usize;
+        let skip_pos = idx.hosts[range.clone()].binary_search(&skip).ok();
+        let count = seg.len as u64 - u64::from(skip_pos.is_some());
+        if count == 0 {
+            return None;
+        }
+        let mut i = rng.below(count) as usize;
+        if let Some(p) = skip_pos {
+            if i >= p {
+                i += 1;
+            }
+        }
+        Some(idx.hosts[range.start + i])
+    }
+
+    #[test]
+    fn plans_pick_what_the_relaxation_walk_picks() {
+        // Sparse on purpose. The first datacenter's frontend has one web
+        // rack of one host and the second has no Hadoop, so web-to-web
+        // and Hadoop picks relax up to three levels; the second
+        // datacenter's lone Misc rack of one host has no Misc candidate
+        // anywhere, and the plant has no cache leaders or databases, so
+        // those entries find nothing at all.
+        let topo = Arc::new(
+            Topology::build(TopologySpec {
+                sites: vec![
+                    SiteSpec {
+                        datacenters: vec![DatacenterSpec {
+                            clusters: vec![ClusterSpec::frontend(4, 1), ClusterSpec::hadoop(2, 2)],
+                        }],
+                    },
+                    SiteSpec {
+                        datacenters: vec![DatacenterSpec {
+                            clusters: vec![ClusterSpec::frontend(4, 2), ClusterSpec::service(2, 1)],
+                        }],
+                    },
+                ],
+                ..TopologySpec::default()
+            })
+            .expect("valid"),
+        );
+        let model = FleetModel::new(Arc::clone(&topo), FleetConfig::default(), 5);
+        // Samples ending at each relaxation depth 0..=3, and with none.
+        let mut outcomes = [0u64; 5];
+        for h in 0..topo.hosts().len() {
+            let src = HostId(h as u32);
+            let info = topo.host(src);
+            for (k, entry) in model.demand[info.role as usize].entries.iter().enumerate() {
+                let plan = model.plan(src, info, entry);
+                let mut walk = Rng::new((h * 8 + k) as u64);
+                let mut planned = walk.clone();
+                for i in 0..1_000 {
+                    let want = walk_pick(&model, src, entry, &mut walk);
+                    let got = plan.map(|p| (p.pick(&mut planned), p.relaxed));
+                    assert_eq!(
+                        got,
+                        want.map(|(dst, depth)| (dst, depth > 0)),
+                        "host {h}, entry {entry:?}: draw {i} differs"
+                    );
+                    outcomes[want.map_or(4, |(_, depth)| depth)] += 1;
+                }
+                assert_eq!(planned, walk, "host {h}, entry {entry:?}: RNG state");
+            }
+        }
+        assert!(
+            outcomes.iter().all(|&n| n > 0),
+            "every relaxation depth and the no-candidate case must occur: {outcomes:?}"
+        );
     }
 
     #[test]
