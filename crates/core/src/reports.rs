@@ -14,8 +14,7 @@ use sonet_analysis::heavy_hitters::{
     enclosing_second_intersection, hitter_stats, persistence_fractions, HeavyHitterAgg, HitterStats,
 };
 use sonet_analysis::locality::{
-    cluster_demand_matrix, locality_timeseries, rack_demand_matrix, service_matrix_row,
-    LocalityTable, MatrixStats,
+    demand_matrices, locality_timeseries, service_matrix_row, LocalityTable, MatrixStats,
 };
 use sonet_analysis::packets::{
     bimodal_fraction, binned_counts, full_mtu_fraction, onoff_metrics, packet_size_cdf,
@@ -419,9 +418,8 @@ pub fn fig5(fleet: &FleetData) -> Result<Fig5Report, ReportError> {
     let fe_cluster = topo
         .first_cluster_of_type(ClusterType::Frontend)
         .ok_or(ReportError::MissingClusterType(ClusterType::Frontend))?;
-    let hadoop_matrix = rack_demand_matrix(&fleet.table, topo, hadoop_cluster);
-    let frontend_matrix = rack_demand_matrix(&fleet.table, topo, fe_cluster);
-    let clusters_m = cluster_demand_matrix(&fleet.table, topo.clusters().len());
+    let ([hadoop_matrix, frontend_matrix], clusters_m) =
+        demand_matrices(&fleet.table, topo, [hadoop_cluster, fe_cluster]);
 
     // Bipartite fraction: bytes between web racks and cache racks over all
     // intra-cluster bytes.
