@@ -4,7 +4,9 @@
 //! that the engine agrees with itself, these pin it to ground truth.
 
 use sonet_dc::core::reports::Fig15Config;
-use sonet_dc::netsim::{BufferConfig, FlowKey, NullTap, SimConfig, Simulator};
+use sonet_dc::netsim::{
+    BufferConfig, ConnId, FlowKey, NullTap, Packet, PacketKind, PacketTap, SimConfig, Simulator,
+};
 use sonet_dc::topology::{
     ClusterSpec, DatacenterSpec, LinkId, Node, SiteSpec, SwitchKind, Topology, TopologySpec,
 };
@@ -232,4 +234,90 @@ fn incast_occupancy_saturates_at_the_dynamic_threshold_ceiling() {
             "alpha {alpha}: occupancy {peak} short of 90% of the DT ceiling {ceiling}"
         );
     }
+}
+
+/// Wire bytes of data packets per connection on the watched links,
+/// counted only inside `[from, to)`.
+struct WindowBytes {
+    from: SimTime,
+    to: SimTime,
+    bytes: Vec<(ConnId, u64)>,
+}
+
+impl PacketTap for WindowBytes {
+    fn on_packet(&mut self, at: SimTime, _link: LinkId, pkt: &Packet) {
+        if at < self.from || at >= self.to || !matches!(pkt.kind, PacketKind::Data { .. }) {
+            return;
+        }
+        match self.bytes.iter_mut().find(|(c, _)| *c == pkt.conn) {
+            Some((_, b)) => *b += u64::from(pkt.wire_bytes),
+            None => self.bytes.push((pkt.conn, u64::from(pkt.wire_bytes))),
+        }
+    }
+}
+
+#[test]
+fn long_flows_into_one_host_share_its_downlink_fairly() {
+    // Four long flows from four hosts of one rack into one host of
+    // another rack. The receiver's downlink is the one bottleneck, and
+    // the rack switch's pool holds every window in flight, so nothing
+    // drops and the four windows share the downlink's FIFO queue: after
+    // warm-up each flow gets a quarter of the downlink's rate C, and
+    // together they keep it busy.
+    let topo = plant();
+    let senders = &topo.racks()[0].hosts[..4];
+    let dst = topo.racks()[1].hosts[0];
+    let downlink = topo.host_downlink(dst);
+    let c_gbps = topo.links()[downlink.index()].gbps;
+    let cfg = SimConfig {
+        rsw_buffer: BufferConfig {
+            shared_bytes: 64 << 20,
+            alpha: 4.0,
+        },
+        ..SimConfig::default()
+    };
+    let (from, to) = (SimTime::from_millis(2), SimTime::from_millis(12));
+    let tap = WindowBytes {
+        from,
+        to,
+        bytes: Vec::new(),
+    };
+    let mut sim = Simulator::new(Arc::clone(&topo), cfg, tap).expect("config");
+    sim.watch_link(downlink);
+    // Each flow carries more than the whole downlink could move by `to`.
+    let capacity = |d: SimDuration| (d.as_secs_f64() * c_gbps * 1e9 / 8.0) as u64;
+    let long = capacity(to - SimTime::ZERO);
+    for &src in senders {
+        let conn = sim
+            .open_connection(SimTime::ZERO, src, dst, 80)
+            .expect("open");
+        sim.send_message(conn, SimTime::ZERO, long, 0, SimDuration::ZERO)
+            .expect("send");
+    }
+    sim.run_until(to);
+    let (out, tap) = sim.finish();
+    let drops: u64 = out
+        .link_counters
+        .iter()
+        .map(|l| l.drop_packets + l.fault_drop_packets)
+        .sum();
+    assert_eq!(drops, 0, "the buffer must hold every window");
+    assert_eq!(
+        out.completed_requests, 0,
+        "the flows must outlast the window"
+    );
+    let ct = capacity(to - from);
+    let fair = ct as f64 / 4.0;
+    assert_eq!(tap.bytes.len(), 4, "every flow delivers in the window");
+    for (conn, b) in &tap.bytes {
+        assert!(
+            (*b as f64 - fair).abs() <= 0.1 * fair,
+            "{conn:?}: {b} bytes against a fair share of {fair}"
+        );
+    }
+    let total: u64 = tap.bytes.iter().map(|(_, b)| b).sum();
+    assert!(
+        total as f64 >= 0.95 * ct as f64,
+        "the flows moved {total} of the downlink's {ct} bytes"
+    );
 }

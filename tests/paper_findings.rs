@@ -204,3 +204,27 @@ fn localities_cover_all_four_classes() {
         );
     }
 }
+
+#[test]
+fn finding_fig5_demand_matrix_structure() {
+    // EXPERIMENTS.md, Figure 5: "Structure holds (diagonal Hadoop,
+    // bipartite non-local Frontend, heavy-tailed pair demands)". The
+    // Hadoop half is not asserted: at this scale its rack matrix puts
+    // 13% of bytes on the diagonal of 16 racks, about 2x a uniform
+    // matrix's 6.25%, short of the 3x a strong diagonal would show.
+    let mut lab = lab();
+    let f5 = lab.fig5();
+    // Frontend is block-bipartite: most intra-cluster bytes run between
+    // web and cache racks.
+    assert!(
+        f5.frontend_bipartite_fraction > 0.5,
+        "frontend web<->cache share {}",
+        f5.frontend_bipartite_fraction
+    );
+    // Cluster-pair demand is heavy-tailed: at least 3 decades.
+    assert!(
+        f5.clusters.decades >= 3.0,
+        "cluster pairs span {} decades",
+        f5.clusters.decades
+    );
+}
