@@ -3,7 +3,8 @@
 //! Measures the three rates the performance work is judged on — engine
 //! events/sec, fleet-tier records/sec (generation + tagging), and
 //! end-to-end scenario wall time (fleet generate + tag + Table 3 +
-//! Fig 5) — plus the partitioned, obs, hybrid and checkpoint legs, fills a
+//! Fig 5) — plus the partitioned, obs, hybrid, checkpoint and fleet-layer
+//! legs, fills a
 //! [`sonet_bench::ledger::Bench`] and writes it to `BENCH.json` with
 //! `serde_json`. It then runs [`sonet_bench::ledger::gates`] against the
 //! committed `crates/bench/BENCH-baseline.json`, prints one
@@ -21,16 +22,18 @@
 //! byte-identical for every value, only the rates move.
 //! `SONET_BENCH_OUT` overrides the output path (default `BENCH.json`).
 
-use sonet_bench::ledger::{self, Bench, Checkpoint, Hybrid, Obs, ObsTimeline, Partitioned};
+use sonet_bench::ledger::{self, Bench, Checkpoint, Fleet, Hybrid, Obs, ObsTimeline, Partitioned};
 use sonet_bench::{banner, fast_mode, BENCH_SEED};
 use sonet_core::reports;
-use sonet_core::scenario::{packet_tier_spec, ScenarioScale};
+use sonet_core::scenario::{fleet_spec, packet_tier_spec, ScenarioScale};
 use sonet_core::{FleetData, FleetRunConfig};
 use sonet_netsim::{EngineCheckpoint, FidelityConfig, NullTap, SimConfig, Simulator};
+use sonet_telemetry::Tagger;
 use sonet_topology::{ClusterSpec, DatacenterSpec, HostRole, SiteSpec, Topology, TopologySpec};
 use sonet_util::obs::{self, ObsMode};
 use sonet_util::{par, SimDuration, SimTime};
-use sonet_workload::{ServiceProfiles, Workload};
+use sonet_workload::fleet::sort_by_time;
+use sonet_workload::{FleetConfig, FleetModel, ServiceProfiles, Workload};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Instant;
@@ -338,6 +341,58 @@ fn bench_fleet(cfg: &FleetRunConfig, threads: Option<usize>) -> (u64, f64, f64) 
     (records, generate_secs, analysis_secs)
 }
 
+/// `f`'s result and its wall seconds.
+fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let start = Instant::now();
+    let out = f();
+    (out, start.elapsed().as_secs_f64())
+}
+
+/// The fleet tier layer by layer on `cfg`, `rounds` times, keeping the
+/// fastest of each layer: the host-order sample stream, its time sort,
+/// tagging (over `threads` shards, like `FleetData::run_with`), then
+/// Table 3 and Fig 5 on the table.
+fn bench_fleet_layers(cfg: &FleetRunConfig, threads: usize, rounds: u32) -> Fleet {
+    let topo = Arc::new(Topology::build(fleet_spec(cfg.scale)).expect("preset spec"));
+    let mut best = Fleet {
+        rows: 0,
+        generate_secs: f64::INFINITY,
+        sort_secs: f64::INFINITY,
+        tag_secs: f64::INFINITY,
+        table3_secs: f64::INFINITY,
+        fig5_secs: f64::INFINITY,
+    };
+    for _ in 0..rounds {
+        let fleet_cfg = FleetConfig {
+            samples_per_host: cfg.samples_per_host,
+            ..FleetConfig::default()
+        };
+        let mut model = FleetModel::new(Arc::clone(&topo), fleet_cfg, cfg.seed);
+        model.set_parallelism(Some(threads));
+        let (mut samples, generate) = timed(|| model.generate_chunk(u32::MAX));
+        let ((), sort) = timed(|| sort_by_time(&mut samples));
+        let (table, tag) = timed(|| Tagger::new(&topo).ingest_sharded(&samples, threads));
+        let data = FleetData {
+            topo: Arc::clone(&topo),
+            table,
+            relaxed_picks: model.relaxed_picks(),
+            agent_dropped: 0,
+        };
+        let (t3, table3) = timed(|| reports::table3(&data));
+        let (f5, fig5) = timed(|| reports::fig5(&data).expect("preset plants have both types"));
+        assert!(t3.table.all.bytes > 0 && f5.clusters.fill > 0.0);
+        best = Fleet {
+            rows: data.table.len() as u64,
+            generate_secs: best.generate_secs.min(generate),
+            sort_secs: best.sort_secs.min(sort),
+            tag_secs: best.tag_secs.min(tag),
+            table3_secs: best.table3_secs.min(table3),
+            fig5_secs: best.fig5_secs.min(fig5),
+        };
+    }
+    best
+}
+
 fn main() -> ExitCode {
     // Criterion-style flag noise (`--bench`) is ignored; only --threads
     // matters here.
@@ -412,6 +467,18 @@ fn main() -> ExitCode {
         obs_timeline.bytes_per_min,
     );
 
+    let fleet = bench_fleet_layers(&FleetRunConfig::fast(BENCH_SEED), resolved, 5);
+    println!(
+        "fleet layers: {} rows, generate {:.4}s, sort {:.4}s, tag {:.4}s, table3 {:.4}s, \
+         fig5 {:.4}s (best of 5, fast fleet)",
+        fleet.rows,
+        fleet.generate_secs,
+        fleet.sort_secs,
+        fleet.tag_secs,
+        fleet.table3_secs,
+        fleet.fig5_secs,
+    );
+
     let (fleet_records, fleet_generate_secs, analysis_secs) = bench_fleet(&fleet_cfg, threads);
     let bench = Bench {
         schema: ledger::SCHEMA,
@@ -430,6 +497,7 @@ fn main() -> ExitCode {
         obs_timeline,
         hybrid,
         checkpoint,
+        fleet,
     };
     println!(
         "threads {}: engine {:.0} events/s ({} events / {:.2}s), fleet {:.0} records/s \

@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Ledger format version, written as `"schema"`.
-pub const SCHEMA: u32 = 10;
+pub const SCHEMA: u32 = 11;
 
 /// The committed baseline ledger (`crates/bench/BENCH-baseline.json`)
 /// that the two floors compare against.
@@ -53,6 +53,8 @@ pub struct Bench {
     pub hybrid: Hybrid,
     /// A mid-run engine checkpoint of the hybrid leg's plant.
     pub checkpoint: Checkpoint,
+    /// The fleet tier layer by layer.
+    pub fleet: Fleet,
 }
 
 /// The engine's drain alone, on a pre-seeded workload.
@@ -129,6 +131,25 @@ pub struct Checkpoint {
     /// Best-of-N wall seconds of parsing that text plus
     /// `Simulator::restore`.
     pub restore_secs: f64,
+}
+
+/// The fleet tier's layers, timed one by one on a `FleetRunConfig::fast`
+/// run, best of N each. No gate reads it.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct Fleet {
+    /// Tagged rows.
+    pub rows: u64,
+    /// Wall seconds of `FleetModel::generate_chunk` over every host (the
+    /// host-order stream, before the time sort).
+    pub generate_secs: f64,
+    /// Wall seconds of `fleet::sort_by_time` on that stream.
+    pub sort_secs: f64,
+    /// Wall seconds of tagging the sorted stream into a Scuba table.
+    pub tag_secs: f64,
+    /// Wall seconds of Table 3 on the table.
+    pub table3_secs: f64,
+    /// Wall seconds of Fig 5 on the table.
+    pub fig5_secs: f64,
 }
 
 /// A gate's outcome.
